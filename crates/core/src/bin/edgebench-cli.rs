@@ -24,8 +24,8 @@
 //! edgebench-cli geo --requests 10000 --jobs 4
 //!                                     # multi-region diurnal serving with
 //!                                     # autoscaling, WAN spillover, carbon
-//! edgebench-cli geo --no-autoscale --engine heap --csv
-//!                                     # ... always-on fleet on the oracle engine
+//! edgebench-cli geo --no-autoscale --csv
+//!                                     # ... always-on fleet, as CSV
 //! edgebench-cli runtime --frames 300 --rate 60 --sentry
 //!                                     # zero-copy pipeline loopback, sentry mode
 //! edgebench-cli runtime --procs --ring-capacity 4 --drop-oldest
@@ -37,16 +37,19 @@
 //! only changes wall-clock time, never output. The `resilience` and `serve`
 //! commands are seed-deterministic: identical flags replay identical runs.
 //!
-//! Argument errors are typed ([`CliError`]): every malformed invocation
-//! prints what was wrong plus the command's usage line and exits non-zero.
+//! Each command's flags are one declarative table of [`Flag`] rows, walked
+//! by the single parser [`walk`]; the usage lines are generated from the
+//! same tables. Argument errors are typed ([`CliError`]): every malformed
+//! invocation prints what was wrong plus the command's usage line and exits
+//! non-zero.
 
 use edgebench::experiments;
 use edgebench::runtime::{
     self, DropPolicy, ExecMode, RuntimeConfig, SentryConfig, SuperviseConfig,
 };
 use edgebench::serve::{
-    geo, BreakerConfig, EngineKind, Fleet, ReplicaSpec, RetryBudgetConfig, RoutePolicy,
-    ServeConfig, TraceFile, Traffic,
+    geo, BreakerConfig, Fleet, ReplicaSpec, RetryBudgetConfig, RoutePolicy, ServeConfig, TraceFile,
+    Traffic,
 };
 use edgebench_devices::faults::{
     ChaosPlan, FaultProfile, MemoryFaultModel, ResilientPipeline, RetryPolicy,
@@ -64,6 +67,7 @@ use std::env;
 use std::fmt;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 /// A typed CLI argument error. Rendering one tells the user what was
 /// wrong with which flag; the command wrapper appends its usage line and
@@ -125,32 +129,222 @@ impl CliError {
     }
 }
 
-/// The value following `args[i]`, or a [`CliError::MissingValue`].
-fn flag_value<'a>(args: &'a [String], i: usize, flag: &str) -> Result<&'a str, CliError> {
-    args.get(i + 1)
-        .map(String::as_str)
-        .ok_or_else(|| CliError::MissingValue {
-            flag: flag.to_string(),
-        })
+/// One flag occurrence handed to a table setter: the flag (or operand
+/// placeholder) as named in the table, and the value as typed.
+#[derive(Clone, Copy)]
+struct Val<'a> {
+    flag: &'a str,
+    value: &'a str,
 }
 
-fn parse_num<T: std::str::FromStr>(
-    s: &str,
-    flag: &str,
-    expect: &'static str,
-) -> Result<T, CliError> {
-    s.parse::<T>()
-        .map_err(|_| CliError::invalid(flag, s, expect))
-}
-
-/// A probability flag: a float in `[0, 1]`.
-fn parse_prob(s: &str, flag: &str) -> Result<f64, CliError> {
-    let p: f64 = parse_num(s, flag, "a probability in [0, 1]")?;
-    if (0.0..=1.0).contains(&p) {
-        Ok(p)
-    } else {
-        Err(CliError::invalid(flag, s, "a probability in [0, 1]"))
+/// The value parsers every table shares. Each rejects what its flag
+/// cannot mean with [`CliError::Invalid`]; the float parsers also reject
+/// `nan`, `inf` and `-inf`.
+impl<'a> Val<'a> {
+    fn invalid(self, expect: &'static str) -> CliError {
+        CliError::invalid(self.flag, self.value, expect)
     }
+
+    fn count<T: FromStr>(self) -> Result<T, CliError> {
+        self.value
+            .parse()
+            .map_err(|_| self.invalid("a non-negative integer"))
+    }
+
+    /// A count of at least one (`T::default()` is zero for every count type).
+    fn positive<T: FromStr + Default + PartialEq>(self) -> Result<T, CliError> {
+        match self.value.parse() {
+            Ok(n) if n != T::default() => Ok(n),
+            _ => Err(self.invalid("a positive integer")),
+        }
+    }
+
+    fn seed(self) -> Result<u64, CliError> {
+        self.value
+            .parse()
+            .map_err(|_| self.invalid("an integer seed"))
+    }
+
+    /// A finite float that `ok` accepts.
+    fn float(self, expect: &'static str, ok: fn(f64) -> bool) -> Result<f64, CliError> {
+        match self.value.parse() {
+            Ok(x) if f64::is_finite(x) && ok(x) => Ok(x),
+            _ => Err(self.invalid(expect)),
+        }
+    }
+
+    fn pos_f64(self) -> Result<f64, CliError> {
+        self.float("a finite number > 0", |x| x > 0.0)
+    }
+
+    fn nonneg_f64(self) -> Result<f64, CliError> {
+        self.float("a finite number >= 0", |x| x >= 0.0)
+    }
+
+    fn prob(self) -> Result<f64, CliError> {
+        self.float("a probability in [0, 1]", |p| (0.0..=1.0).contains(&p))
+    }
+
+    /// A name that `lookup` resolves.
+    fn named<T>(
+        self,
+        lookup: impl FnOnce(&'a str) -> Option<T>,
+        expect: &'static str,
+    ) -> Result<T, CliError> {
+        lookup(self.value).ok_or_else(|| self.invalid(expect))
+    }
+
+    fn model(self) -> Result<Model, CliError> {
+        let expect = "a known model (see `edgebench-cli summary`)";
+        self.named(Model::from_name, expect)
+    }
+
+    fn device(self) -> Result<Device, CliError> {
+        self.named(Device::from_name, "a known device")
+    }
+
+    /// A traffic trace kind, kept by name: the trace itself is built once
+    /// the rate and seed are known.
+    fn trace(self) -> Result<String, CliError> {
+        let known = |s: &str| Traffic::from_flag(s, 1.0, 0).map(|_| s.to_string());
+        self.named(known, "one of steady, poisson, diurnal, burst")
+    }
+
+    fn path(self) -> Result<PathBuf, CliError> {
+        let non_empty = |s: &str| (!s.is_empty()).then(|| PathBuf::from(s));
+        self.named(non_empty, "a non-empty path")
+    }
+}
+
+/// A setter that parses one value into a command's run struct.
+type Set<R> = fn(&mut R, Val<'_>) -> Result<(), CliError>;
+
+/// How a table row consumes argv: a bare switch, or a flag followed by a
+/// value (the `&str` is its metavar in the usage line).
+enum Setter<R> {
+    Switch(fn(&mut R)),
+    Value(&'static str, Set<R>),
+}
+
+/// One row of a command's flag table.
+struct Flag<R> {
+    name: &'static str,
+    set: Setter<R>,
+}
+
+const fn switch<R>(name: &'static str, set: fn(&mut R)) -> Flag<R> {
+    Flag {
+        name,
+        set: Setter::Switch(set),
+    }
+}
+
+const fn value<R>(name: &'static str, metavar: &'static str, set: Set<R>) -> Flag<R> {
+    Flag {
+        name,
+        set: Setter::Value(metavar, set),
+    }
+}
+
+/// A command: its flag table, the setter for its operand (a token that is
+/// not a flag; `None` when it takes none), and the cross-flag rules checked
+/// once every flag is in.
+struct Command<R: 'static> {
+    name: &'static str,
+    operand: Option<(&'static str, Set<R>)>,
+    flags: &'static [Flag<R>],
+    validate: fn(&mut R) -> Result<(), CliError>,
+}
+
+/// The one argv walker. Applies each `--flag`, `--flag value` or
+/// `--flag=value` in `args` to `run` through `cmd`'s table, and each
+/// operand through `cmd.operand`. A command without an operand stops at
+/// the first one; the tokens from there on are returned.
+fn walk<'a, R>(
+    cmd: &Command<R>,
+    run: &mut R,
+    mut args: &'a [String],
+) -> Result<&'a [String], CliError> {
+    while let Some((token, mut rest)) = args.split_first() {
+        let unknown = || CliError::UnknownFlag {
+            command: cmd.name,
+            flag: token.clone(),
+        };
+        if !token.starts_with('-') {
+            let Some((flag, set)) = cmd.operand else {
+                break;
+            };
+            set(run, Val { flag, value: token })?;
+        } else {
+            let (flag, inline) = match token.split_once('=') {
+                Some((flag, value)) => (flag, Some(value)),
+                None => (token.as_str(), None),
+            };
+            let row = cmd
+                .flags
+                .iter()
+                .find(|f| f.name == flag)
+                .ok_or_else(unknown)?;
+            match (&row.set, inline) {
+                (Setter::Switch(set), None) => set(run),
+                (Setter::Switch(_), Some(_)) => return Err(unknown()),
+                (Setter::Value(_, set), Some(value)) => set(run, Val { flag, value })?,
+                (Setter::Value(_, set), None) => {
+                    let missing = || CliError::MissingValue {
+                        flag: flag.to_string(),
+                    };
+                    let (value, tail) = rest.split_first().ok_or_else(missing)?;
+                    rest = tail;
+                    set(run, Val { flag, value })?;
+                }
+            }
+        }
+        args = rest;
+    }
+    Ok(args)
+}
+
+/// Parses a command's whole argument list into a fresh run struct, then
+/// applies the command's cross-flag rules.
+fn parse<R: Default>(cmd: &Command<R>, args: &[String]) -> Result<R, CliError> {
+    let mut run = R::default();
+    if let Some(extra) = walk(cmd, &mut run, args)?.first() {
+        return Err(CliError::UnknownFlag {
+            command: cmd.name,
+            flag: extra.clone(),
+        });
+    }
+    (cmd.validate)(&mut run)?;
+    Ok(run)
+}
+
+/// `cmd`'s usage line, generated from its table (in table order).
+fn usage<R>(cmd: &Command<R>) -> String {
+    let mut line = format!("edgebench-cli {}", cmd.name);
+    if let Some((metavar, _)) = cmd.operand {
+        line += &format!(" [{metavar}]");
+    }
+    for flag in cmd.flags {
+        line += &match flag.set {
+            Setter::Switch(_) => format!(" [{}]", flag.name),
+            Setter::Value(metavar, _) => format!(" [{} {metavar}]", flag.name),
+        };
+    }
+    line
+}
+
+/// The first broken cross-flag rule, as a [`CliError::Conflict`].
+fn conflicts(rules: &[(bool, &str)]) -> Result<(), CliError> {
+    match rules.iter().find(|(broken, _)| *broken) {
+        Some((_, message)) => Err(CliError::Conflict {
+            message: message.to_string(),
+        }),
+        None => Ok(()),
+    }
+}
+
+fn no_rules<R>(_: &mut R) -> Result<(), CliError> {
+    Ok(())
 }
 
 fn with_model(name: Option<&str>, f: impl Fn(&edgebench_graph::Graph) -> String) -> ExitCode {
@@ -169,26 +363,6 @@ fn with_model(name: Option<&str>, f: impl Fn(&edgebench_graph::Graph) -> String)
     }
 }
 
-/// Extracts `--jobs N` / `--jobs=N` from `args` (any position), returning
-/// the worker count.
-fn take_jobs_flag(args: &mut Vec<String>) -> Result<usize, CliError> {
-    let mut jobs = 1usize;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--jobs" {
-            let value = flag_value(args, i, "--jobs")?.to_string();
-            jobs = parse_num(&value, "--jobs", "a non-negative integer")?;
-            args.drain(i..i + 2);
-        } else if let Some(value) = args[i].strip_prefix("--jobs=") {
-            jobs = parse_num(value, "--jobs", "a non-negative integer")?;
-            args.remove(i);
-        } else {
-            i += 1;
-        }
-    }
-    Ok(jobs)
-}
-
 /// Everything the `resilience` subcommand needs to run, parsed and
 /// validated.
 #[derive(Debug, PartialEq)]
@@ -205,105 +379,44 @@ struct ResilienceRun {
     show_events: bool,
 }
 
-const RESILIENCE_USAGE: &str = "usage: edgebench-cli resilience [--model M] [--device D] \
-     [--stages N] [--frames N] [--seed S] [--dropout P] [--link-loss P] [--thermal] \
-     [--no-repartition] [--events]";
-
-fn parse_resilience(args: &[String]) -> Result<ResilienceRun, CliError> {
-    let mut run = ResilienceRun {
-        model: Model::MobileNetV2,
-        device: Device::RaspberryPi3,
-        stages: 4,
-        frames: 300,
-        seed: 42,
-        dropout: 0.0,
-        link_loss: 0.0,
-        thermal: false,
-        policy: RetryPolicy::default(),
-        show_events: false,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let consumed = match flag {
-            "--model" => {
-                let v = flag_value(args, i, flag)?;
-                run.model = Model::from_name(v).ok_or_else(|| {
-                    CliError::invalid(flag, v, "a known model (see `edgebench-cli summary`)")
-                })?;
-                2
-            }
-            "--device" => {
-                let v = flag_value(args, i, flag)?;
-                run.device = Device::from_name(v)
-                    .ok_or_else(|| CliError::invalid(flag, v, "a known device"))?;
-                2
-            }
-            "--stages" => {
-                run.stages = parse_num(
-                    flag_value(args, i, flag)?,
-                    flag,
-                    "a positive pipeline depth",
-                )?;
-                2
-            }
-            "--frames" => {
-                run.frames = parse_num(flag_value(args, i, flag)?, flag, "a frame count")?;
-                2
-            }
-            "--seed" => {
-                run.seed = parse_num(flag_value(args, i, flag)?, flag, "an integer seed")?;
-                2
-            }
-            "--dropout" => {
-                run.dropout = parse_prob(flag_value(args, i, flag)?, flag)?;
-                2
-            }
-            "--link-loss" => {
-                run.link_loss = parse_prob(flag_value(args, i, flag)?, flag)?;
-                2
-            }
-            "--thermal" => {
-                run.thermal = true;
-                1
-            }
-            "--no-repartition" => {
-                run.policy = run.policy.without_repartition();
-                1
-            }
-            "--events" => {
-                run.show_events = true;
-                1
-            }
-            other => {
-                return Err(CliError::UnknownFlag {
-                    command: "resilience",
-                    flag: other.to_string(),
-                })
-            }
-        };
-        i += consumed;
+impl Default for ResilienceRun {
+    fn default() -> ResilienceRun {
+        ResilienceRun {
+            model: Model::MobileNetV2,
+            device: Device::RaspberryPi3,
+            stages: 4,
+            frames: 300,
+            seed: 42,
+            dropout: 0.0,
+            link_loss: 0.0,
+            thermal: false,
+            policy: RetryPolicy::default(),
+            show_events: false,
+        }
     }
-    if run.stages == 0 {
-        return Err(CliError::invalid(
-            "--stages",
-            "0",
-            "a positive pipeline depth",
-        ));
-    }
-    Ok(run)
 }
 
+#[rustfmt::skip]
+const RESILIENCE: Command<ResilienceRun> = Command {
+    name: "resilience",
+    operand: None,
+    flags: &[
+        value("--model", "M", |r, v| v.model().map(|m| r.model = m)),
+        value("--device", "D", |r, v| v.device().map(|d| r.device = d)),
+        value("--stages", "N", |r, v| v.positive().map(|n| r.stages = n)),
+        value("--frames", "N", |r, v| v.count().map(|n| r.frames = n)),
+        value("--seed", "S", |r, v| v.seed().map(|s| r.seed = s)),
+        value("--dropout", "P", |r, v| v.prob().map(|p| r.dropout = p)),
+        value("--link-loss", "P", |r, v| v.prob().map(|p| r.link_loss = p)),
+        switch("--thermal", |r| r.thermal = true),
+        switch("--no-repartition", |r| r.policy = r.policy.without_repartition()),
+        switch("--events", |r| r.show_events = true),
+    ],
+    validate: no_rules,
+};
+
 /// Runs one fault-injected pipeline simulation from parsed flags.
-fn run_resilience(args: &[String]) -> ExitCode {
-    let run = match parse_resilience(args) {
-        Ok(run) => run,
-        Err(e) => {
-            eprintln!("{e}");
-            eprintln!("{RESILIENCE_USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn run_resilience(run: ResilienceRun) -> ExitCode {
     let lan = Link {
         uplink_mbps: 90.0,
         downlink_mbps: 90.0,
@@ -386,106 +499,53 @@ struct InferRun {
     guards: bool,
 }
 
-const INFER_USAGE: &str = "usage: edgebench-cli infer [--model M] [--batch N] [--threads N] \
-     [--precision f32|f16|int8] [--iters N] [--seed S] [--sparsity P] [--kernel auto|scalar|simd] \
-     [--flip-rate P] [--flip-seed S] [--guards]";
-
-fn parse_infer(args: &[String]) -> Result<InferRun, CliError> {
-    let mut run = InferRun {
-        model: Model::CifarNet,
-        batch: 1,
-        threads: 1,
-        precision: Precision::F32,
-        iters: 10,
-        seed: 42,
-        sparsity: 0.0,
-        kernel: KernelKind::Auto,
-        flip_rate: 0.0,
-        flip_seed: 0x5dc,
-        guards: false,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let consumed = match flag {
-            "--model" => {
-                let v = flag_value(args, i, flag)?;
-                run.model = Model::from_name(v).ok_or_else(|| {
-                    CliError::invalid(flag, v, "a known model (see `edgebench-cli summary`)")
-                })?;
-                2
-            }
-            "--batch" => {
-                let v = flag_value(args, i, flag)?;
-                run.batch = parse_num(v, flag, "a positive batch size")?;
-                if run.batch == 0 {
-                    return Err(CliError::invalid(flag, v, "a positive batch size"));
-                }
-                2
-            }
-            "--threads" => {
-                run.threads = parse_num(
-                    flag_value(args, i, flag)?,
-                    flag,
-                    "an intra-op worker count (0 = all cores)",
-                )?;
-                2
-            }
-            "--precision" => {
-                let v = flag_value(args, i, flag)?;
-                run.precision = match v {
-                    "f32" => Precision::F32,
-                    "f16" => Precision::F16,
-                    "int8" => Precision::Int8,
-                    _ => return Err(CliError::invalid(flag, v, "one of f32, f16, int8")),
-                };
-                2
-            }
-            "--iters" => {
-                let v = flag_value(args, i, flag)?;
-                run.iters = parse_num(v, flag, "a positive iteration count")?;
-                if run.iters == 0 {
-                    return Err(CliError::invalid(flag, v, "a positive iteration count"));
-                }
-                2
-            }
-            "--seed" => {
-                run.seed = parse_num(flag_value(args, i, flag)?, flag, "an integer seed")?;
-                2
-            }
-            "--sparsity" => {
-                run.sparsity = parse_prob(flag_value(args, i, flag)?, flag)? as f32;
-                2
-            }
-            "--kernel" => {
-                let v = flag_value(args, i, flag)?;
-                run.kernel = KernelKind::from_name(v)
-                    .ok_or_else(|| CliError::invalid(flag, v, "one of auto, scalar, simd"))?;
-                2
-            }
-            "--flip-rate" => {
-                run.flip_rate = parse_prob(flag_value(args, i, flag)?, flag)?;
-                2
-            }
-            "--flip-seed" => {
-                run.flip_seed = parse_num(flag_value(args, i, flag)?, flag, "an integer seed")?;
-                2
-            }
-            "--guards" => {
-                run.guards = true;
-                1
-            }
-            other => {
-                return Err(CliError::UnknownFlag {
-                    command: "infer",
-                    flag: other.to_string(),
-                })
-            }
-        };
-        i += consumed;
+impl Default for InferRun {
+    fn default() -> InferRun {
+        InferRun {
+            model: Model::CifarNet,
+            batch: 1,
+            threads: 1,
+            precision: Precision::F32,
+            iters: 10,
+            seed: 42,
+            sparsity: 0.0,
+            kernel: KernelKind::Auto,
+            flip_rate: 0.0,
+            flip_seed: 0x5dc,
+            guards: false,
+        }
     }
-    Ok(run)
 }
+
+#[rustfmt::skip]
+const INFER: Command<InferRun> = Command {
+    name: "infer",
+    operand: None,
+    flags: &[
+        value("--model", "M", |r, v| v.model().map(|m| r.model = m)),
+        value("--batch", "N", |r, v| v.positive().map(|n| r.batch = n)),
+        value("--threads", "N", |r, v| v.count().map(|n| r.threads = n)),
+        value("--precision", "f32|f16|int8", |r, v| {
+            let precision = |s| match s {
+                "f32" => Some(Precision::F32),
+                "f16" => Some(Precision::F16),
+                "int8" => Some(Precision::Int8),
+                _ => None,
+            };
+            v.named(precision, "one of f32, f16, int8").map(|p| r.precision = p)
+        }),
+        value("--iters", "N", |r, v| v.positive().map(|n| r.iters = n)),
+        value("--seed", "S", |r, v| v.seed().map(|s| r.seed = s)),
+        value("--sparsity", "P", |r, v| v.prob().map(|p| r.sparsity = p as f32)),
+        value("--kernel", "auto|scalar|simd", |r, v| {
+            v.named(KernelKind::from_name, "one of auto, scalar, simd").map(|k| r.kernel = k)
+        }),
+        value("--flip-rate", "P", |r, v| v.prob().map(|p| r.flip_rate = p)),
+        value("--flip-seed", "S", |r, v| v.seed().map(|s| r.flip_seed = s)),
+        switch("--guards", |r| r.guards = true),
+    ],
+    validate: no_rules,
+};
 
 /// Runs real tensor inference on the CPU backend and reports throughput.
 ///
@@ -494,15 +554,7 @@ fn parse_infer(args: &[String]) -> Result<InferRun, CliError> {
 /// can confirm that `--threads` and `--kernel` never change a single
 /// output byte, and so a corrupted run (`--flip-rate` > 0, no guards) has
 /// a clean baseline to diff against.
-fn run_infer(args: &[String]) -> ExitCode {
-    let run = match parse_infer(args) {
-        Ok(run) => run,
-        Err(e) => {
-            eprintln!("{e}");
-            eprintln!("{INFER_USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn run_infer(run: InferRun) -> ExitCode {
     let g = match run.model.build().with_batch(run.batch) {
         Ok(g) => g,
         Err(e) => {
@@ -707,231 +759,86 @@ struct ServeRun {
     csv: bool,
     show_events: bool,
     cfg: ServeConfig,
+    /// `--batch-delay-ms` was given; it conflicts with `--batch-max 1`.
+    batch_delay_set: bool,
 }
 
-const SERVE_USAGE: &str = "usage: edgebench-cli serve [--model M] [--devices D1,D2,..] \
-     [--replicas N] [--rate HZ] [--trace steady|poisson|diurnal|burst] [--slo-ms MS] \
-     [--batch-max N] [--batch-delay-ms MS] [--policy rr|jsq|lel] [--seed S] [--frames N] \
-     [--dropout P] [--thermal] [--power-scale X] [--no-admission] [--straggler P,FACTOR] \
-     [--loss P] [--hedge-ms MS] [--retry-budget TOKENS] [--breaker] [--ladder] [--sdc P] \
-     [--no-sdc-guards] [--engine calendar|heap] [--events] [--csv]";
-
-fn parse_serve(args: &[String]) -> Result<ServeRun, CliError> {
-    let mut run = ServeRun {
-        model: Model::MobileNetV2,
-        devices: vec![Device::RaspberryPi3, Device::JetsonNano, Device::JetsonTx2],
-        replicas: 1,
-        rate_hz: 30.0,
-        trace: "poisson".to_string(),
-        frames: 2000,
-        csv: false,
-        show_events: false,
-        cfg: ServeConfig::new(100.0),
-    };
-    let mut delay_set = false;
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let consumed = match flag {
-            "--model" => {
-                let v = flag_value(args, i, flag)?;
-                run.model = Model::from_name(v).ok_or_else(|| {
-                    CliError::invalid(flag, v, "a known model (see `edgebench-cli summary`)")
-                })?;
-                2
-            }
-            "--devices" => {
-                let list = flag_value(args, i, flag)?;
-                let parsed: Option<Vec<Device>> = list.split(',').map(Device::from_name).collect();
-                match parsed {
-                    Some(d) if !d.is_empty() => run.devices = d,
-                    _ => {
-                        return Err(CliError::invalid(
-                            flag,
-                            list,
-                            "a comma-separated list of known devices",
-                        ))
-                    }
-                }
-                2
-            }
-            "--replicas" => {
-                let v = flag_value(args, i, flag)?;
-                run.replicas = parse_num(v, flag, "a positive replica count")?;
-                if run.replicas == 0 {
-                    return Err(CliError::invalid(flag, v, "a positive replica count"));
-                }
-                2
-            }
-            "--rate" => {
-                let v = flag_value(args, i, flag)?;
-                run.rate_hz = parse_num(v, flag, "a positive rate in req/s")?;
-                if run.rate_hz <= 0.0 {
-                    return Err(CliError::invalid(flag, v, "a positive rate in req/s"));
-                }
-                2
-            }
-            "--trace" => {
-                run.trace = flag_value(args, i, flag)?.to_string();
-                2
-            }
-            "--slo-ms" => {
-                run.cfg.slo_ms = parse_num(
-                    flag_value(args, i, flag)?,
-                    flag,
-                    "a latency objective in ms",
-                )?;
-                2
-            }
-            "--batch-max" => {
-                run.cfg.batch_max =
-                    parse_num(flag_value(args, i, flag)?, flag, "a batch size limit")?;
-                2
-            }
-            "--batch-delay-ms" => {
-                run.cfg.batch_delay_ms =
-                    parse_num(flag_value(args, i, flag)?, flag, "a delay in ms")?;
-                delay_set = true;
-                2
-            }
-            "--policy" => {
-                let v = flag_value(args, i, flag)?;
-                run.cfg.policy = RoutePolicy::from_name(v)
-                    .ok_or_else(|| CliError::invalid(flag, v, "one of rr, jsq, lel"))?;
-                2
-            }
-            "--seed" => {
-                run.cfg.seed = parse_num(flag_value(args, i, flag)?, flag, "an integer seed")?;
-                2
-            }
-            "--frames" => {
-                run.frames = parse_num(flag_value(args, i, flag)?, flag, "a request count")?;
-                2
-            }
-            "--dropout" => {
-                run.cfg.replica_dropout = parse_prob(flag_value(args, i, flag)?, flag)?;
-                2
-            }
-            "--power-scale" => {
-                run.cfg.power_scale =
-                    parse_num(flag_value(args, i, flag)?, flag, "a power multiplier")?;
-                2
-            }
-            "--straggler" => {
-                let v = flag_value(args, i, flag)?;
-                let expect = "P,FACTOR (probability, inflation >= 1)";
-                let (p_s, f_s) = v
-                    .split_once(',')
-                    .ok_or_else(|| CliError::invalid(flag, v, expect))?;
-                let p = parse_prob(p_s, flag)?;
-                let factor: f64 = parse_num(f_s, flag, expect)?;
-                if factor < 1.0 {
-                    return Err(CliError::invalid(flag, v, expect));
-                }
-                run.cfg = run.cfg.with_straggler(p, factor);
-                2
-            }
-            "--loss" => {
-                let p = parse_prob(flag_value(args, i, flag)?, flag)?;
-                run.cfg = run.cfg.with_loss(p);
-                2
-            }
-            "--hedge-ms" => {
-                let v = flag_value(args, i, flag)?;
-                let ms: f64 = parse_num(v, flag, "a non-negative slack in ms")?;
-                if ms < 0.0 {
-                    return Err(CliError::invalid(flag, v, "a non-negative slack in ms"));
-                }
-                run.cfg = run.cfg.with_hedge_ms(ms);
-                2
-            }
-            "--retry-budget" => {
-                let v = flag_value(args, i, flag)?;
-                let tokens: f64 = parse_num(v, flag, "a positive token count")?;
-                if tokens <= 0.0 {
-                    return Err(CliError::invalid(flag, v, "a positive token count"));
-                }
-                run.cfg = run.cfg.with_retry_budget(RetryBudgetConfig {
-                    initial_tokens: tokens,
-                    ..RetryBudgetConfig::default()
-                });
-                2
-            }
-            "--breaker" => {
-                run.cfg = run.cfg.with_breaker(BreakerConfig::default());
-                1
-            }
-            "--ladder" => {
-                run.cfg = run.cfg.with_ladder(true);
-                1
-            }
-            "--sdc" => {
-                let p = parse_prob(flag_value(args, i, flag)?, flag)?;
-                run.cfg = run.cfg.with_sdc(p);
-                2
-            }
-            "--no-sdc-guards" => {
-                run.cfg = run.cfg.with_sdc_guards(false);
-                1
-            }
-            "--engine" => {
-                let v = flag_value(args, i, flag)?;
-                let engine = EngineKind::from_name(v)
-                    .ok_or_else(|| CliError::invalid(flag, v, "one of calendar, heap"))?;
-                run.cfg = run.cfg.with_engine(engine);
-                2
-            }
-            "--thermal" => {
-                run.cfg.thermal = true;
-                1
-            }
-            "--no-admission" => {
-                run.cfg.admission = false;
-                1
-            }
-            "--events" => {
-                run.show_events = true;
-                1
-            }
-            "--csv" => {
-                run.csv = true;
-                1
-            }
-            other => {
-                return Err(CliError::UnknownFlag {
-                    command: "serve",
-                    flag: other.to_string(),
-                })
-            }
-        };
-        i += consumed;
+impl Default for ServeRun {
+    fn default() -> ServeRun {
+        ServeRun {
+            model: Model::MobileNetV2,
+            devices: vec![Device::RaspberryPi3, Device::JetsonNano, Device::JetsonTx2],
+            replicas: 1,
+            rate_hz: 30.0,
+            trace: "poisson".to_string(),
+            frames: 2000,
+            csv: false,
+            show_events: false,
+            cfg: ServeConfig::new(100.0),
+            batch_delay_set: false,
+        }
     }
-    if delay_set && run.cfg.batch_max <= 1 {
-        return Err(CliError::Conflict {
-            message: "--batch-delay-ms has no effect with --batch-max 1 (batching is off)"
-                .to_string(),
-        });
-    }
-    if Traffic::from_flag(&run.trace, run.rate_hz, run.cfg.seed).is_none() {
-        return Err(CliError::invalid(
-            "--trace",
-            &run.trace,
-            "one of steady, poisson, diurnal, burst",
-        ));
-    }
-    Ok(run)
 }
+
+#[rustfmt::skip]
+const SERVE: Command<ServeRun> = Command {
+    name: "serve",
+    operand: None,
+    flags: &[
+        value("--model", "M", |r, v| v.model().map(|m| r.model = m)),
+        value("--devices", "D1,D2,..", |r, v| {
+            let devices = |s: &str| s.split(',').map(Device::from_name).collect();
+            v.named(devices, "a comma-separated list of known devices").map(|d| r.devices = d)
+        }),
+        value("--replicas", "N", |r, v| v.positive().map(|n| r.replicas = n)),
+        value("--rate", "HZ", |r, v| v.pos_f64().map(|x| r.rate_hz = x)),
+        value("--trace", "steady|poisson|diurnal|burst", |r, v| v.trace().map(|t| r.trace = t)),
+        value("--slo-ms", "MS", |r, v| v.pos_f64().map(|x| r.cfg.slo_ms = x)),
+        value("--batch-max", "N", |r, v| v.positive().map(|n| r.cfg.batch_max = n)),
+        value("--batch-delay-ms", "MS", |r, v| {
+            r.batch_delay_set = true;
+            v.nonneg_f64().map(|x| r.cfg.batch_delay_ms = x)
+        }),
+        value("--policy", "rr|jsq|lel", |r, v| {
+            v.named(RoutePolicy::from_name, "one of rr, jsq, lel").map(|p| r.cfg.policy = p)
+        }),
+        value("--seed", "S", |r, v| v.seed().map(|s| r.cfg.seed = s)),
+        value("--frames", "N", |r, v| v.positive().map(|n| r.frames = n)),
+        value("--dropout", "P", |r, v| v.prob().map(|p| r.cfg.replica_dropout = p)),
+        switch("--thermal", |r| r.cfg.thermal = true),
+        value("--power-scale", "X", |r, v| v.nonneg_f64().map(|x| r.cfg.power_scale = x)),
+        switch("--no-admission", |r| r.cfg.admission = false),
+        value("--straggler", "P,FACTOR", |r, v| {
+            let expect = "P,FACTOR (probability, inflation >= 1)";
+            let (p, factor) = v.value.split_once(',').ok_or_else(|| v.invalid(expect))?;
+            let p = Val { value: p, ..v }.prob()?;
+            let factor = Val { value: factor, ..v }.float(expect, |f| f >= 1.0)?;
+            r.cfg = r.cfg.with_straggler(p, factor);
+            Ok(())
+        }),
+        value("--loss", "P", |r, v| v.prob().map(|p| r.cfg = r.cfg.with_loss(p))),
+        value("--hedge-ms", "MS", |r, v| v.nonneg_f64().map(|x| r.cfg = r.cfg.with_hedge_ms(x))),
+        value("--retry-budget", "TOKENS", |r, v| {
+            let initial_tokens = v.pos_f64()?;
+            let budget = RetryBudgetConfig { initial_tokens, ..RetryBudgetConfig::default() };
+            r.cfg = r.cfg.with_retry_budget(budget);
+            Ok(())
+        }),
+        switch("--breaker", |r| r.cfg = r.cfg.with_breaker(BreakerConfig::default())),
+        switch("--ladder", |r| r.cfg = r.cfg.with_ladder(true)),
+        value("--sdc", "P", |r, v| v.prob().map(|p| r.cfg = r.cfg.with_sdc(p))),
+        switch("--no-sdc-guards", |r| r.cfg = r.cfg.with_sdc_guards(false)),
+        switch("--events", |r| r.show_events = true),
+        switch("--csv", |r| r.csv = true),
+    ],
+    validate: |r| conflicts(&[(
+        r.batch_delay_set && r.cfg.batch_max <= 1,
+        "--batch-delay-ms has no effect with --batch-max 1 (batching is off)",
+    )]),
+};
 
 /// Runs one fleet serving simulation from parsed flags.
-fn run_serve(args: &[String]) -> ExitCode {
-    let run = match parse_serve(args) {
-        Ok(run) => run,
-        Err(e) => {
-            eprintln!("{e}");
-            eprintln!("{SERVE_USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn run_serve(run: ServeRun) -> ExitCode {
     let traffic = Traffic::from_flag(&run.trace, run.rate_hz, run.cfg.seed)
         .expect("trace validated at parse time");
     let mut specs = Vec::new();
@@ -985,138 +892,50 @@ fn run_serve(args: &[String]) -> ExitCode {
 struct GeoRun {
     cfg: geo::GeoConfig,
     requests: usize,
+    jobs: usize,
     csv: bool,
 }
 
-const GEO_USAGE: &str = "usage: edgebench-cli geo [--model M] [--slo-ms MS] [--requests N] \
-     [--base-hz HZ] [--peak-hz HZ] [--period-s S] [--wan-rtt-ms MS] [--import N] \
-     [--batch-max N] [--no-autoscale] [--engine calendar|heap] [--seed S] [--csv]";
-
-fn parse_geo(args: &[String]) -> Result<GeoRun, CliError> {
-    let mut run = GeoRun {
-        cfg: geo::GeoConfig::new(100.0),
-        requests: 8000,
-        csv: false,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let consumed = match flag {
-            "--model" => {
-                let v = flag_value(args, i, flag)?;
-                run.cfg.model = Model::from_name(v).ok_or_else(|| {
-                    CliError::invalid(flag, v, "a known model (see `edgebench-cli summary`)")
-                })?;
-                2
-            }
-            "--slo-ms" => {
-                let v = flag_value(args, i, flag)?;
-                run.cfg.slo_ms = parse_num(v, flag, "a positive SLO in ms")?;
-                if run.cfg.slo_ms <= 0.0 {
-                    return Err(CliError::invalid(flag, v, "a positive SLO in ms"));
-                }
-                2
-            }
-            "--requests" => {
-                let v = flag_value(args, i, flag)?;
-                run.requests = parse_num(v, flag, "a positive request count")?;
-                if run.requests == 0 {
-                    return Err(CliError::invalid(flag, v, "a positive request count"));
-                }
-                2
-            }
-            "--base-hz" => {
-                let v = flag_value(args, i, flag)?;
-                run.cfg.base_hz = parse_num(v, flag, "a positive rate in req/s")?;
-                if run.cfg.base_hz <= 0.0 {
-                    return Err(CliError::invalid(flag, v, "a positive rate in req/s"));
-                }
-                2
-            }
-            "--peak-hz" => {
-                let v = flag_value(args, i, flag)?;
-                run.cfg.peak_hz = parse_num(v, flag, "a positive rate in req/s")?;
-                if run.cfg.peak_hz <= 0.0 {
-                    return Err(CliError::invalid(flag, v, "a positive rate in req/s"));
-                }
-                2
-            }
-            "--period-s" => {
-                let v = flag_value(args, i, flag)?;
-                run.cfg.period_s = parse_num(v, flag, "a positive period in seconds")?;
-                if run.cfg.period_s <= 0.0 {
-                    return Err(CliError::invalid(flag, v, "a positive period in seconds"));
-                }
-                2
-            }
-            "--wan-rtt-ms" => {
-                let v = flag_value(args, i, flag)?;
-                run.cfg.wan_rtt_ms = parse_num(v, flag, "a non-negative RTT in ms")?;
-                if run.cfg.wan_rtt_ms < 0.0 {
-                    return Err(CliError::invalid(flag, v, "a non-negative RTT in ms"));
-                }
-                2
-            }
-            "--import" => {
-                let v = flag_value(args, i, flag)?;
-                run.cfg.import_replicas = parse_num(v, flag, "a spillover replica count")?;
-                2
-            }
-            "--batch-max" => {
-                let v = flag_value(args, i, flag)?;
-                run.cfg.batch_max = parse_num(v, flag, "a positive batch size")?;
-                if run.cfg.batch_max == 0 {
-                    return Err(CliError::invalid(flag, v, "a positive batch size"));
-                }
-                2
-            }
-            "--no-autoscale" => {
-                run.cfg.autoscale = None;
-                1
-            }
-            "--engine" => {
-                let v = flag_value(args, i, flag)?;
-                run.cfg.engine = EngineKind::from_name(v)
-                    .ok_or_else(|| CliError::invalid(flag, v, "one of calendar, heap"))?;
-                2
-            }
-            "--seed" => {
-                run.cfg.seed = parse_num(flag_value(args, i, flag)?, flag, "a u64 seed")?;
-                2
-            }
-            "--csv" => {
-                run.csv = true;
-                1
-            }
-            other => {
-                return Err(CliError::UnknownFlag {
-                    command: "geo",
-                    flag: other.to_string(),
-                })
-            }
-        };
-        i += consumed;
+impl Default for GeoRun {
+    fn default() -> GeoRun {
+        GeoRun {
+            cfg: geo::GeoConfig::new(100.0),
+            requests: 8000,
+            jobs: 1,
+            csv: false,
+        }
     }
-    if run.cfg.peak_hz < run.cfg.base_hz {
-        return Err(CliError::Conflict {
-            message: "--peak-hz must be at least --base-hz".to_string(),
-        });
-    }
-    Ok(run)
 }
 
+#[rustfmt::skip]
+const GEO: Command<GeoRun> = Command {
+    name: "geo",
+    operand: None,
+    flags: &[
+        value("--model", "M", |r, v| v.model().map(|m| r.cfg.model = m)),
+        value("--slo-ms", "MS", |r, v| v.pos_f64().map(|x| r.cfg.slo_ms = x)),
+        value("--requests", "N", |r, v| v.positive().map(|n| r.requests = n)),
+        value("--base-hz", "HZ", |r, v| v.pos_f64().map(|x| r.cfg.base_hz = x)),
+        value("--peak-hz", "HZ", |r, v| v.pos_f64().map(|x| r.cfg.peak_hz = x)),
+        value("--period-s", "S", |r, v| v.pos_f64().map(|x| r.cfg.period_s = x)),
+        value("--wan-rtt-ms", "MS", |r, v| v.nonneg_f64().map(|x| r.cfg.wan_rtt_ms = x)),
+        value("--import", "N", |r, v| v.count().map(|n| r.cfg.import_replicas = n)),
+        value("--batch-max", "N", |r, v| v.positive().map(|n| r.cfg.batch_max = n)),
+        switch("--no-autoscale", |r| r.cfg.autoscale = None),
+        value("--seed", "S", |r, v| v.seed().map(|s| r.cfg.seed = s)),
+        value("--jobs", "N", |r, v| v.count().map(|n| r.jobs = n)),
+        switch("--csv", |r| r.csv = true),
+    ],
+    validate: |r| conflicts(&[(
+        r.cfg.peak_hz < r.cfg.base_hz,
+        "--peak-hz must be at least --base-hz",
+    )]),
+};
+
 /// Runs the multi-region serving simulation from parsed flags.
-fn run_geo(args: &[String], jobs: usize) -> ExitCode {
-    let run = match parse_geo(args) {
-        Ok(run) => run,
-        Err(e) => {
-            eprintln!("{e}");
-            eprintln!("{GEO_USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn run_geo(run: GeoRun) -> ExitCode {
     let regions = geo::default_regions(run.cfg.period_s);
-    let report = match geo::run_geo(&run.cfg, &regions, run.requests, jobs) {
+    let report = match geo::run_geo(&run.cfg, &regions, run.requests, run.jobs) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("geo failed: {e}");
@@ -1167,327 +986,153 @@ struct RuntimeRun {
     sink: bool,
     chaos_events: Option<usize>,
     chaos_seed: Option<u64>,
+    /// `--block` was given; it conflicts with `--drop-oldest`.
+    block: bool,
+    /// Sentry and supervision knobs, applied to `cfg` once `--sentry` /
+    /// `--supervise` are known to be on.
+    sentry_cooldown: Option<u32>,
+    sentry_recall: Option<f64>,
+    restart_budget: Option<u32>,
+    heartbeat_ms: Option<u64>,
 }
 
-const RUNTIME_USAGE: &str = "usage: edgebench-cli runtime [--model M] [--device D] [--frames N] \
-     [--rate HZ] [--trace steady|poisson|diurnal|burst] [--hit-rate P] [--seed S] \
-     [--ring-capacity N] [--block | --drop-oldest] [--sentry] [--sentry-cooldown N] \
-     [--sentry-recall P] [--flip-rate P] [--capture-ns N] [--preprocess-ns N] \
-     [--exec model|real] [--pace] [--supervise] [--restart-budget N] [--heartbeat-ms N] \
-     [--chaos SPEC | --chaos-events N [--chaos-seed S]] [--procs] \
-     [--stage S --dir D [--sink]] [--out PATH] [--events-out PATH] \
-     [--trace-in PATH | --trace-out PATH] [--events]";
+impl Default for RuntimeRun {
+    fn default() -> RuntimeRun {
+        RuntimeRun {
+            cfg: RuntimeConfig::new(Model::MobileNetV2, Device::JetsonNano),
+            frames: 300,
+            rate_hz: 60.0,
+            trace: "poisson".to_string(),
+            hit_rate: 0.1,
+            procs: false,
+            stage: None,
+            dir: None,
+            out: None,
+            events_out: None,
+            trace_in: None,
+            trace_out: None,
+            show_events: false,
+            sink: false,
+            chaos_events: None,
+            chaos_seed: None,
+            block: false,
+            sentry_cooldown: None,
+            sentry_recall: None,
+            restart_budget: None,
+            heartbeat_ms: None,
+        }
+    }
+}
 
-fn parse_runtime(args: &[String]) -> Result<RuntimeRun, CliError> {
-    let mut run = RuntimeRun {
-        cfg: RuntimeConfig::new(Model::MobileNetV2, Device::JetsonNano),
-        frames: 300,
-        rate_hz: 60.0,
-        trace: "poisson".to_string(),
-        hit_rate: 0.1,
-        procs: false,
-        stage: None,
-        dir: None,
-        out: None,
-        events_out: None,
-        trace_in: None,
-        trace_out: None,
-        show_events: false,
-        sink: false,
-        chaos_events: None,
-        chaos_seed: None,
-    };
-    let mut policy_flag: Option<&'static str> = None;
-    let mut sentry = false;
-    let mut cooldown: Option<u32> = None;
-    let mut recall: Option<f64> = None;
-    let mut supervise = false;
-    let mut restart_budget: Option<u32> = None;
-    let mut heartbeat_ms: Option<u64> = None;
-    let mut chaos_spec: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let consumed = match flag {
-            "--model" => {
-                let v = flag_value(args, i, flag)?;
-                run.cfg.model = Model::from_name(v).ok_or_else(|| {
-                    CliError::invalid(flag, v, "a known model (see `edgebench-cli summary`)")
-                })?;
-                2
-            }
-            "--device" => {
-                let v = flag_value(args, i, flag)?;
-                run.cfg.device = Device::from_name(v)
-                    .ok_or_else(|| CliError::invalid(flag, v, "a known device"))?;
-                2
-            }
-            "--frames" => {
-                let v = flag_value(args, i, flag)?;
-                run.frames = parse_num(v, flag, "a positive frame count")?;
-                if run.frames == 0 {
-                    return Err(CliError::invalid(flag, v, "a positive frame count"));
-                }
-                2
-            }
-            "--rate" => {
-                let v = flag_value(args, i, flag)?;
-                run.rate_hz = parse_num(v, flag, "a positive rate in frames/s")?;
-                if run.rate_hz <= 0.0 {
-                    return Err(CliError::invalid(flag, v, "a positive rate in frames/s"));
-                }
-                2
-            }
-            "--trace" => {
-                run.trace = flag_value(args, i, flag)?.to_string();
-                2
-            }
-            "--hit-rate" => {
-                run.hit_rate = parse_prob(flag_value(args, i, flag)?, flag)?;
-                2
-            }
-            "--seed" => {
-                run.cfg.seed = parse_num(flag_value(args, i, flag)?, flag, "an integer seed")?;
-                2
-            }
-            "--ring-capacity" => {
-                let v = flag_value(args, i, flag)?;
-                let expect = "a power-of-two slot count >= 1";
-                run.cfg.ring_capacity = parse_num(v, flag, expect)?;
-                if run.cfg.ring_capacity == 0 || !run.cfg.ring_capacity.is_power_of_two() {
-                    return Err(CliError::invalid(flag, v, expect));
-                }
-                2
-            }
-            "--block" => {
-                if policy_flag == Some("--drop-oldest") {
-                    return Err(CliError::Conflict {
-                        message: "--block and --drop-oldest are mutually exclusive backpressure \
-                                  policies"
-                            .to_string(),
-                    });
-                }
-                policy_flag = Some("--block");
-                run.cfg.policy = DropPolicy::Block;
-                1
-            }
-            "--drop-oldest" => {
-                if policy_flag == Some("--block") {
-                    return Err(CliError::Conflict {
-                        message: "--block and --drop-oldest are mutually exclusive backpressure \
-                                  policies"
-                            .to_string(),
-                    });
-                }
-                policy_flag = Some("--drop-oldest");
-                run.cfg.policy = DropPolicy::DropOldest;
-                1
-            }
-            "--sentry" => {
-                sentry = true;
-                1
-            }
-            "--sentry-cooldown" => {
-                let v = flag_value(args, i, flag)?;
-                let n: u32 = parse_num(v, flag, "a positive quiet-frame count")?;
-                if n == 0 {
-                    return Err(CliError::invalid(flag, v, "a positive quiet-frame count"));
-                }
-                cooldown = Some(n);
-                2
-            }
-            "--sentry-recall" => {
-                recall = Some(parse_prob(flag_value(args, i, flag)?, flag)?);
-                2
-            }
-            "--flip-rate" => {
-                run.cfg.ipc_flip_rate = parse_prob(flag_value(args, i, flag)?, flag)?;
-                2
-            }
-            "--capture-ns" => {
-                run.cfg.capture_ns_per_elem =
-                    parse_num(flag_value(args, i, flag)?, flag, "ns per payload element")?;
-                2
-            }
-            "--preprocess-ns" => {
-                run.cfg.preprocess_ns_per_elem =
-                    parse_num(flag_value(args, i, flag)?, flag, "ns per payload element")?;
-                2
-            }
-            "--exec" => {
-                let v = flag_value(args, i, flag)?;
-                run.cfg.exec = match v {
-                    "model" => ExecMode::Model,
-                    "real" => ExecMode::Real,
-                    _ => return Err(CliError::invalid(flag, v, "one of model, real")),
-                };
-                2
-            }
-            "--pace" => {
-                run.cfg.pace = true;
-                1
-            }
-            "--supervise" => {
-                supervise = true;
-                1
-            }
-            "--restart-budget" => {
-                let v = flag_value(args, i, flag)?;
-                restart_budget = Some(parse_num(v, flag, "a restart count (0..=64)")?);
-                2
-            }
-            "--heartbeat-ms" => {
-                let v = flag_value(args, i, flag)?;
-                let ms: u64 = parse_num(v, flag, "a heartbeat period in ms (>= 10)")?;
-                heartbeat_ms = Some(ms);
-                2
-            }
-            "--chaos" => {
-                chaos_spec = Some(flag_value(args, i, flag)?.to_string());
-                2
-            }
-            "--chaos-events" => {
-                let v = flag_value(args, i, flag)?;
-                let n: usize = parse_num(v, flag, "a positive chaos event count")?;
-                if n == 0 {
-                    return Err(CliError::invalid(flag, v, "a positive chaos event count"));
-                }
-                run.chaos_events = Some(n);
-                2
-            }
-            "--chaos-seed" => {
-                run.chaos_seed = Some(parse_num(
-                    flag_value(args, i, flag)?,
-                    flag,
-                    "an integer seed",
-                )?);
-                2
-            }
-            "--sink" => {
-                run.sink = true;
-                1
-            }
-            "--procs" => {
-                run.procs = true;
-                1
-            }
-            "--stage" => {
-                run.stage = Some(flag_value(args, i, flag)?.to_string());
-                2
-            }
-            "--dir" => {
-                run.dir = Some(PathBuf::from(flag_value(args, i, flag)?));
-                2
-            }
-            "--out" => {
-                run.out = Some(PathBuf::from(flag_value(args, i, flag)?));
-                2
-            }
-            "--events-out" => {
-                run.events_out = Some(PathBuf::from(flag_value(args, i, flag)?));
-                2
-            }
-            "--trace-in" => {
-                run.trace_in = Some(PathBuf::from(flag_value(args, i, flag)?));
-                2
-            }
-            "--trace-out" => {
-                run.trace_out = Some(PathBuf::from(flag_value(args, i, flag)?));
-                2
-            }
-            "--events" => {
-                run.show_events = true;
-                1
-            }
-            other => {
-                return Err(CliError::UnknownFlag {
-                    command: "runtime",
-                    flag: other.to_string(),
-                })
-            }
-        };
-        i += consumed;
+#[rustfmt::skip]
+const RUNTIME: Command<RuntimeRun> = Command {
+    name: "runtime",
+    operand: None,
+    flags: &[
+        value("--model", "M", |r, v| v.model().map(|m| r.cfg.model = m)),
+        value("--device", "D", |r, v| v.device().map(|d| r.cfg.device = d)),
+        value("--frames", "N", |r, v| v.positive().map(|n| r.frames = n)),
+        value("--rate", "HZ", |r, v| v.pos_f64().map(|x| r.rate_hz = x)),
+        value("--trace", "steady|poisson|diurnal|burst", |r, v| v.trace().map(|t| r.trace = t)),
+        value("--hit-rate", "P", |r, v| v.prob().map(|p| r.hit_rate = p)),
+        value("--seed", "S", |r, v| v.seed().map(|s| r.cfg.seed = s)),
+        value("--ring-capacity", "N", |r, v| {
+            let pow2 = |s: &str| s.parse().ok().filter(|n: &usize| n.is_power_of_two());
+            v.named(pow2, "a power-of-two slot count >= 1").map(|n| r.cfg.ring_capacity = n)
+        }),
+        switch("--block", |r| r.block = true),
+        switch("--drop-oldest", |r| r.cfg.policy = DropPolicy::DropOldest),
+        switch("--sentry", |r| r.cfg.sentry = Some(SentryConfig::default())),
+        value("--sentry-cooldown", "N", |r, v| v.positive().map(|n| r.sentry_cooldown = Some(n))),
+        value("--sentry-recall", "P", |r, v| v.prob().map(|p| r.sentry_recall = Some(p))),
+        value("--flip-rate", "P", |r, v| v.prob().map(|p| r.cfg.ipc_flip_rate = p)),
+        value("--capture-ns", "N", |r, v| v.count().map(|n| r.cfg.capture_ns_per_elem = n)),
+        value("--preprocess-ns", "N", |r, v| v.count().map(|n| r.cfg.preprocess_ns_per_elem = n)),
+        value("--exec", "model|real", |r, v| {
+            let mode = |s| match s {
+                "model" => Some(ExecMode::Model),
+                "real" => Some(ExecMode::Real),
+                _ => None,
+            };
+            v.named(mode, "one of model, real").map(|m| r.cfg.exec = m)
+        }),
+        switch("--pace", |r| r.cfg.pace = true),
+        switch("--supervise", |r| r.cfg.supervise = Some(SuperviseConfig::default())),
+        value("--restart-budget", "N", |r, v| v.count().map(|n| r.restart_budget = Some(n))),
+        value("--heartbeat-ms", "MS", |r, v| v.count().map(|n| r.heartbeat_ms = Some(n))),
+        value("--chaos", "SPEC", |r, v| {
+            let plan = ChaosPlan::parse(v.value).map_err(|e| CliError::Conflict {
+                message: format!("--chaos got '{}': {e}", v.value),
+            })?;
+            r.cfg.chaos = Some(plan);
+            Ok(())
+        }),
+        value("--chaos-events", "N", |r, v| v.positive().map(|n| r.chaos_events = Some(n))),
+        value("--chaos-seed", "S", |r, v| v.seed().map(|s| r.chaos_seed = Some(s))),
+        switch("--procs", |r| r.procs = true),
+        value("--stage", "S", |r, v| {
+            r.stage = Some(v.value.to_string());
+            Ok(())
+        }),
+        value("--dir", "D", |r, v| v.path().map(|p| r.dir = Some(p))),
+        switch("--sink", |r| r.sink = true),
+        value("--out", "PATH", |r, v| v.path().map(|p| r.out = Some(p))),
+        value("--events-out", "PATH", |r, v| v.path().map(|p| r.events_out = Some(p))),
+        value("--trace-in", "PATH", |r, v| v.path().map(|p| r.trace_in = Some(p))),
+        value("--trace-out", "PATH", |r, v| v.path().map(|p| r.trace_out = Some(p))),
+        switch("--events", |r| r.show_events = true),
+    ],
+    validate: validate_runtime,
+};
+
+fn validate_runtime(r: &mut RuntimeRun) -> Result<(), CliError> {
+    conflicts(&[
+        (
+            r.block && r.cfg.policy == DropPolicy::DropOldest,
+            "--block and --drop-oldest are mutually exclusive backpressure policies",
+        ),
+        (
+            (r.sentry_cooldown.is_some() || r.sentry_recall.is_some()) && r.cfg.sentry.is_none(),
+            "--sentry-cooldown / --sentry-recall only make sense with --sentry",
+        ),
+        (
+            (r.restart_budget.is_some() || r.heartbeat_ms.is_some()) && r.cfg.supervise.is_none(),
+            "--restart-budget / --heartbeat-ms only make sense with --supervise",
+        ),
+        (
+            r.cfg.chaos.is_some() && r.chaos_events.is_some(),
+            "--chaos gives an explicit schedule; --chaos-events generates one — pick one",
+        ),
+        (
+            r.chaos_seed.is_some() && r.chaos_events.is_none(),
+            "--chaos-seed only seeds a generated campaign (--chaos-events)",
+        ),
+        (
+            r.sink && r.stage.is_none(),
+            "--sink drains one child stage; it needs --stage",
+        ),
+        (
+            r.trace_in.is_some() && r.trace_out.is_some(),
+            "--trace-in replays a recorded trace; --trace-out records a fresh one — pick one",
+        ),
+        (
+            r.stage.is_some() && r.dir.is_none(),
+            "--stage needs --dir (the run directory the supervisor created)",
+        ),
+        (
+            r.stage.is_some() && r.procs,
+            "--stage runs one child stage; --procs is the supervisor — pick one",
+        ),
+    ])?;
+    if let Some(sentry) = &mut r.cfg.sentry {
+        sentry.cooldown = r.sentry_cooldown.unwrap_or(sentry.cooldown);
+        sentry.standby_recall = r.sentry_recall.unwrap_or(sentry.standby_recall);
     }
-    if (cooldown.is_some() || recall.is_some()) && !sentry {
-        return Err(CliError::Conflict {
-            message: "--sentry-cooldown / --sentry-recall only make sense with --sentry"
-                .to_string(),
-        });
+    if let Some(sup) = &mut r.cfg.supervise {
+        sup.restart_budget = r.restart_budget.unwrap_or(sup.restart_budget);
+        sup.heartbeat_ms = r.heartbeat_ms.unwrap_or(sup.heartbeat_ms);
     }
-    if sentry {
-        let mut sc = SentryConfig::default();
-        if let Some(n) = cooldown {
-            sc.cooldown = n;
-        }
-        if let Some(r) = recall {
-            sc.standby_recall = r;
-        }
-        run.cfg.sentry = Some(sc);
-    }
-    if (restart_budget.is_some() || heartbeat_ms.is_some()) && !supervise {
-        return Err(CliError::Conflict {
-            message: "--restart-budget / --heartbeat-ms only make sense with --supervise"
-                .to_string(),
-        });
-    }
-    if supervise {
-        let mut sup = SuperviseConfig::default();
-        if let Some(b) = restart_budget {
-            sup = sup.with_restart_budget(b);
-        }
-        if let Some(ms) = heartbeat_ms {
-            sup = sup.with_heartbeat_ms(ms);
-        }
-        run.cfg.supervise = Some(sup);
-    }
-    if chaos_spec.is_some() && run.chaos_events.is_some() {
-        return Err(CliError::Conflict {
-            message: "--chaos gives an explicit schedule; --chaos-events generates one — pick one"
-                .to_string(),
-        });
-    }
-    if run.chaos_seed.is_some() && run.chaos_events.is_none() {
-        return Err(CliError::Conflict {
-            message: "--chaos-seed only seeds a generated campaign (--chaos-events)".to_string(),
-        });
-    }
-    if let Some(spec) = &chaos_spec {
-        let plan = ChaosPlan::parse(spec).map_err(|e| CliError::Conflict {
-            message: format!("--chaos got '{spec}': {e}"),
-        })?;
-        run.cfg.chaos = Some(plan);
-    }
-    if run.sink && run.stage.is_none() {
-        return Err(CliError::Conflict {
-            message: "--sink drains one child stage; it needs --stage".to_string(),
-        });
-    }
-    if run.trace_in.is_some() && run.trace_out.is_some() {
-        return Err(CliError::Conflict {
-            message: "--trace-in replays a recorded trace; --trace-out records a fresh one — \
-                      pick one"
-                .to_string(),
-        });
-    }
-    if run.stage.is_some() && run.dir.is_none() {
-        return Err(CliError::Conflict {
-            message: "--stage needs --dir (the run directory the supervisor created)".to_string(),
-        });
-    }
-    if run.stage.is_some() && run.procs {
-        return Err(CliError::Conflict {
-            message: "--stage runs one child stage; --procs is the supervisor — pick one"
-                .to_string(),
-        });
-    }
-    if Traffic::from_flag(&run.trace, run.rate_hz, run.cfg.seed).is_none() {
-        return Err(CliError::invalid(
-            "--trace",
-            &run.trace,
-            "one of steady, poisson, diurnal, burst",
-        ));
-    }
-    Ok(run)
+    Ok(())
 }
 
 /// Loads or generates the runtime trace for parsed flags.
@@ -1503,15 +1148,7 @@ fn runtime_trace(run: &RuntimeRun) -> Result<TraceFile, String> {
 /// Runs the zero-copy pipeline runtime from parsed flags: a child stage
 /// (`--stage`), the multi-process supervisor (`--procs`), or the in-process
 /// thread loopback (default).
-fn run_runtime(args: &[String]) -> ExitCode {
-    let mut run = match parse_runtime(args) {
-        Ok(run) => run,
-        Err(e) => {
-            eprintln!("{e}");
-            eprintln!("{RUNTIME_USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn run_runtime(mut run: RuntimeRun) -> ExitCode {
     if let (Some(stage), Some(dir)) = (&run.stage, &run.dir) {
         return match runtime::run_stage(
             stage,
@@ -1604,43 +1241,116 @@ fn run_runtime(args: &[String]) -> ExitCode {
     }
 }
 
-fn run_all(jobs: usize) -> ExitCode {
-    for (_, report) in experiments::run_all(jobs) {
-        println!("{}", report.to_table_string());
+/// `run [ID|all]`, also the bare invocation: one experiment, or every
+/// experiment on `jobs` worker threads.
+#[derive(Debug, PartialEq)]
+struct ExperimentsRun {
+    jobs: usize,
+    id: Option<String>,
+}
+
+impl Default for ExperimentsRun {
+    fn default() -> ExperimentsRun {
+        ExperimentsRun { jobs: 1, id: None }
     }
-    ExitCode::SUCCESS
+}
+
+const RUN: Command<ExperimentsRun> = Command {
+    name: "run",
+    operand: Some(("ID|all", |r, v| match r.id.replace(v.value.to_string()) {
+        None => Ok(()),
+        Some(_) => Err(v.invalid("a single experiment id")),
+    })),
+    flags: &[value("--jobs", "N", |r, v| v.count().map(|n| r.jobs = n))],
+    validate: no_rules,
+};
+
+/// Runs one experiment, or every experiment (printed in registry order at
+/// any `--jobs`).
+fn run_experiments(run: ExperimentsRun) -> ExitCode {
+    match run.id.as_deref() {
+        None | Some("all") => {
+            for (_, report) in experiments::run_all(run.jobs) {
+                println!("{}", report.to_table_string());
+            }
+            ExitCode::SUCCESS
+        }
+        Some(id) => match experiments::by_id(id) {
+            Some(e) => {
+                println!("{}", e.run().to_table_string());
+                ExitCode::SUCCESS
+            }
+            None => {
+                eprintln!("unknown experiment '{id}'; try `edgebench-cli list`");
+                ExitCode::FAILURE
+            }
+        },
+    }
+}
+
+/// Splits argv at the command word. Flags before it belong to the bare
+/// invocation (`run`'s table) and are handed on to the command, so
+/// `--jobs=0 run` is `run --jobs=0`.
+fn split_command(argv: &[String]) -> Result<(Option<&str>, Vec<String>), CliError> {
+    let bare = Command {
+        operand: None,
+        ..RUN
+    };
+    let rest = walk(&bare, &mut ExperimentsRun::default(), argv)?;
+    let lead = &argv[..argv.len() - rest.len()];
+    Ok(match rest.split_first() {
+        Some((command, tail)) => (Some(command.as_str()), [lead, tail].concat()),
+        None => (None, lead.to_vec()),
+    })
+}
+
+/// Parses `args` for `cmd` and runs it, or prints the error and the
+/// command's usage line.
+fn dispatch<R: Default>(cmd: &Command<R>, args: &[String], run: fn(R) -> ExitCode) -> ExitCode {
+    match parse(cmd, args) {
+        Ok(parsed) => run(parsed),
+        Err(e) => {
+            eprintln!("{e}");
+            eprintln!("usage: {}", usage(cmd));
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Every command's usage line; no command runs every experiment.
+fn top_usage() -> String {
+    let lines = [
+        usage(&RUN),
+        "edgebench-cli list | csv ID | summary MODEL | dot MODEL".to_string(),
+        usage(&INFER),
+        usage(&RESILIENCE),
+        usage(&SERVE),
+        usage(&GEO),
+        usage(&RUNTIME),
+    ];
+    format!("usage (no command = run all):\n  {}", lines.join("\n  "))
 }
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = env::args().skip(1).collect();
-    let jobs = match take_jobs_flag(&mut args) {
-        Ok(jobs) => jobs,
+    let argv: Vec<String> = env::args().skip(1).collect();
+    let (command, args) = match split_command(&argv) {
+        Ok(split) => split,
         Err(e) => {
             eprintln!("{e}");
+            eprintln!("{}", top_usage());
             return ExitCode::FAILURE;
         }
     };
-    match args.first().map(String::as_str) {
+    let operand = args.first().map(String::as_str);
+    match command {
+        None | Some("run") => dispatch(&RUN, &args, run_experiments),
         Some("list") => {
             for e in experiments::all() {
                 println!("{:8}  {}", e.id(), e.title());
             }
             ExitCode::SUCCESS
         }
-        Some("run") => match args.get(1).map(String::as_str) {
-            None | Some("all") => run_all(jobs),
-            Some(id) => match experiments::by_id(id) {
-                Some(e) => {
-                    println!("{}", e.run().to_table_string());
-                    ExitCode::SUCCESS
-                }
-                None => {
-                    eprintln!("unknown experiment '{id}'; try `edgebench-cli list`");
-                    ExitCode::FAILURE
-                }
-            },
-        },
-        Some("csv") => match args.get(1).and_then(|id| experiments::by_id(id)) {
+        Some("csv") => match operand.and_then(experiments::by_id) {
             Some(e) => {
                 print!("{}", e.run().to_csv());
                 ExitCode::SUCCESS
@@ -1650,18 +1360,16 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         },
-        Some("summary") => with_model(args.get(1).map(String::as_str), viz::summary),
-        Some("dot") => with_model(args.get(1).map(String::as_str), viz::to_dot),
-        Some("infer") => run_infer(&args[1..]),
-        Some("resilience") => run_resilience(&args[1..]),
-        Some("serve") => run_serve(&args[1..]),
-        Some("geo") => run_geo(&args[1..], jobs),
-        Some("runtime") => run_runtime(&args[1..]),
-        None => run_all(jobs),
+        Some("summary") => with_model(operand, viz::summary),
+        Some("dot") => with_model(operand, viz::to_dot),
+        Some("infer") => dispatch(&INFER, &args, run_infer),
+        Some("resilience") => dispatch(&RESILIENCE, &args, run_resilience),
+        Some("serve") => dispatch(&SERVE, &args, run_serve),
+        Some("geo") => dispatch(&GEO, &args, run_geo),
+        Some("runtime") => dispatch(&RUNTIME, &args, run_runtime),
         Some(other) => {
-            eprintln!(
-                "unknown command '{other}'; usage: edgebench-cli [--jobs N] [list | run <id|all> | csv <id> | summary <model> | dot <model> | infer [flags] | resilience [flags] | serve [flags] | geo [flags] | runtime [flags]]"
-            );
+            eprintln!("unknown command '{other}'");
+            eprintln!("{}", top_usage());
             ExitCode::FAILURE
         }
     }
@@ -1670,14 +1378,29 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
     }
 
+    /// Asserts that each `bad` input is a [`CliError::Invalid`] naming its
+    /// first token as the flag.
+    fn assert_invalid<R: Default + fmt::Debug>(cmd: &Command<R>, bad: &[&str]) {
+        for input in bad {
+            let err = parse(cmd, &argv(input)).unwrap_err();
+            let named = input.split([' ', '=']).next().unwrap();
+            assert!(
+                matches!(&err, CliError::Invalid { flag, .. } if flag == named),
+                "{} {input}: {err:?}",
+                cmd.name
+            );
+        }
+    }
+
     #[test]
     fn missing_value_is_typed() {
-        let err = parse_serve(&argv("--rate")).unwrap_err();
+        let err = parse(&SERVE, &argv("--rate")).unwrap_err();
         assert_eq!(
             err,
             CliError::MissingValue {
@@ -1689,18 +1412,18 @@ mod tests {
 
     #[test]
     fn out_of_range_probability_is_invalid() {
-        let err = parse_serve(&argv("--loss 1.5")).unwrap_err();
+        let err = parse(&SERVE, &argv("--loss 1.5")).unwrap_err();
         assert!(
             matches!(&err, CliError::Invalid { flag, .. } if flag == "--loss"),
             "{err:?}"
         );
         assert!(err.to_string().contains("probability in [0, 1]"));
-        assert!(parse_serve(&argv("--dropout -0.1")).is_err());
+        assert!(parse(&SERVE, &argv("--dropout -0.1")).is_err());
     }
 
     #[test]
     fn unknown_flag_names_the_command() {
-        let err = parse_serve(&argv("--warp-speed 9")).unwrap_err();
+        let err = parse(&SERVE, &argv("--warp-speed 9")).unwrap_err();
         assert_eq!(
             err,
             CliError::UnknownFlag {
@@ -1708,7 +1431,7 @@ mod tests {
                 flag: "--warp-speed".to_string()
             }
         );
-        let err = parse_resilience(&argv("--warp-speed")).unwrap_err();
+        let err = parse(&RESILIENCE, &argv("--warp-speed")).unwrap_err();
         assert_eq!(
             err,
             CliError::UnknownFlag {
@@ -1716,7 +1439,7 @@ mod tests {
                 flag: "--warp-speed".to_string()
             }
         );
-        let err = parse_geo(&argv("--warp-speed")).unwrap_err();
+        let err = parse(&GEO, &argv("--warp-speed")).unwrap_err();
         assert_eq!(
             err,
             CliError::UnknownFlag {
@@ -1724,28 +1447,29 @@ mod tests {
                 flag: "--warp-speed".to_string()
             }
         );
-    }
-
-    #[test]
-    fn serve_engine_flag_selects_the_oracle_heap() {
-        let run = parse_serve(&argv("--engine heap")).unwrap();
-        assert_eq!(run.cfg.engine, EngineKind::BinaryHeap);
-        assert_eq!(
-            parse_serve(&argv("")).unwrap().cfg.engine,
-            EngineKind::Calendar,
-            "calendar is the default engine"
-        );
-        let err = parse_serve(&argv("--engine bogus")).unwrap_err();
-        assert!(err.to_string().contains("one of calendar, heap"), "{err}");
+        // `--jobs` belongs to `run`, `geo` and the bare invocation only.
+        let jobs = argv("--jobs 4");
+        for (command, err) in [
+            ("serve", parse(&SERVE, &jobs).err()),
+            ("infer", parse(&INFER, &jobs).err()),
+            ("resilience", parse(&RESILIENCE, &jobs).err()),
+            ("runtime", parse(&RUNTIME, &jobs).err()),
+        ] {
+            let flag = "--jobs".to_string();
+            assert_eq!(err, Some(CliError::UnknownFlag { command, flag }));
+        }
     }
 
     #[test]
     fn geo_flags_parse_into_the_config() {
-        let run = parse_geo(&argv(
-            "--model resnet-18 --slo-ms 150 --requests 500 --base-hz 10 --peak-hz 90 \
+        let run = parse(
+            &GEO,
+            &argv(
+                "--model resnet-18 --slo-ms 150 --requests 500 --base-hz 10 --peak-hz 90 \
              --period-s 45 --wan-rtt-ms 120 --import 2 --batch-max 4 --no-autoscale \
-             --engine heap --seed 9 --csv",
-        ))
+             --seed 9 --jobs 3 --csv",
+            ),
+        )
         .unwrap();
         assert_eq!(run.cfg.model, Model::ResNet18);
         assert_eq!(run.cfg.slo_ms, 150.0);
@@ -1757,43 +1481,76 @@ mod tests {
         assert_eq!(run.cfg.import_replicas, 2);
         assert_eq!(run.cfg.batch_max, 4);
         assert_eq!(run.cfg.autoscale, None);
-        assert_eq!(run.cfg.engine, EngineKind::BinaryHeap);
+        assert_eq!(run.jobs, 3);
         assert_eq!(run.cfg.seed, 9);
         assert!(run.csv);
     }
 
     #[test]
     fn geo_rejects_an_inverted_diurnal_swing() {
-        let err = parse_geo(&argv("--base-hz 100 --peak-hz 50")).unwrap_err();
+        let err = parse(&GEO, &argv("--base-hz 100 --peak-hz 50")).unwrap_err();
         assert!(
             matches!(&err, CliError::Conflict { .. }),
             "inverted swing must be a typed conflict: {err:?}"
+        );
+        assert_invalid(
+            &GEO,
+            &[
+                "--slo-ms -5",
+                "--slo-ms nan",
+                "--batch-max 0",
+                "--wan-rtt-ms nan",
+                "--wan-rtt-ms -1",
+                "--base-hz inf",
+                "--period-s 1e400",
+                "--requests 0",
+                "--jobs -1",
+            ],
         );
     }
 
     #[test]
     fn batch_delay_without_batching_conflicts() {
-        let err = parse_serve(&argv("--batch-max 1 --batch-delay-ms 5")).unwrap_err();
+        let err = parse(&SERVE, &argv("--batch-max 1 --batch-delay-ms 5")).unwrap_err();
         assert!(matches!(err, CliError::Conflict { .. }), "{err:?}");
         // With batching on, the same delay parses fine.
-        assert!(parse_serve(&argv("--batch-max 4 --batch-delay-ms 5")).is_ok());
+        assert!(parse(&SERVE, &argv("--batch-max 4 --batch-delay-ms 5")).is_ok());
     }
 
     #[test]
-    fn zero_replicas_is_rejected() {
-        let err = parse_serve(&argv("--replicas 0")).unwrap_err();
+    fn serve_rejects_bad_values() {
+        let err = parse(&SERVE, &argv("--replicas 0")).unwrap_err();
         assert!(matches!(&err, CliError::Invalid { flag, .. } if flag == "--replicas"));
+        // `--slo-ms` and `--batch-max` validate exactly as in `geo`; every
+        // float rejects non-finite values.
+        assert_invalid(
+            &SERVE,
+            &[
+                "--slo-ms -5",
+                "--slo-ms nan",
+                "--slo-ms=inf",
+                "--batch-max 0",
+                "--rate inf",
+                "--rate nan",
+                "--batch-delay-ms -1",
+                "--power-scale -1",
+                "--hedge-ms inf",
+                "--retry-budget nan",
+                "--straggler 0.05,inf",
+                "--frames 0",
+            ],
+        );
     }
 
     #[test]
     fn unknown_trace_is_invalid() {
-        let err = parse_serve(&argv("--trace sawtooth")).unwrap_err();
+        let err = parse(&SERVE, &argv("--trace sawtooth")).unwrap_err();
         assert!(matches!(&err, CliError::Invalid { flag, .. } if flag == "--trace"));
     }
 
     #[test]
     fn resilience_flags_parse_into_the_config() {
-        let run = parse_serve(&argv(
+        let run = parse(&SERVE, &argv(
             "--straggler 0.05,6 --loss 0.02 --hedge-ms 2 --retry-budget 10 --breaker --ladder --events",
         ))
         .unwrap();
@@ -1812,23 +1569,23 @@ mod tests {
 
     #[test]
     fn malformed_straggler_pairs_are_rejected() {
-        assert!(parse_serve(&argv("--straggler 0.05")).is_err());
-        assert!(parse_serve(&argv("--straggler 0.05,0.5")).is_err());
-        assert!(parse_serve(&argv("--straggler 1.5,4")).is_err());
+        assert!(parse(&SERVE, &argv("--straggler 0.05")).is_err());
+        assert!(parse(&SERVE, &argv("--straggler 0.05,0.5")).is_err());
+        assert!(parse(&SERVE, &argv("--straggler 1.5,4")).is_err());
     }
 
     #[test]
     fn defaults_parse_clean() {
-        let run = parse_serve(&[]).unwrap();
+        let run = parse(&SERVE, &[]).unwrap();
         assert!(!run.cfg.resilience.is_active());
         assert_eq!(run.replicas, 1);
-        let run = parse_resilience(&[]).unwrap();
+        let run = parse(&RESILIENCE, &[]).unwrap();
         assert_eq!(run.frames, 300);
     }
 
     #[test]
     fn infer_flags_parse_into_the_run() {
-        let run = parse_infer(&argv(
+        let run = parse(&INFER, &argv(
             "--model mobilenet-v2 --batch 8 --threads 4 --precision int8 --iters 3 --seed 7 --sparsity 0.5 --kernel scalar",
         ))
         .unwrap();
@@ -1840,13 +1597,13 @@ mod tests {
         assert_eq!(run.seed, 7);
         assert_eq!(run.sparsity, 0.5);
         assert_eq!(run.kernel, KernelKind::Scalar);
-        let run = parse_infer(&argv("--kernel simd")).unwrap();
+        let run = parse(&INFER, &argv("--kernel simd")).unwrap();
         assert_eq!(run.kernel, KernelKind::Simd);
     }
 
     #[test]
     fn infer_defaults_parse_clean() {
-        let run = parse_infer(&[]).unwrap();
+        let run = parse(&INFER, &[]).unwrap();
         assert_eq!(run.model, Model::CifarNet);
         assert_eq!(run.batch, 1);
         assert_eq!(run.threads, 1);
@@ -1857,23 +1614,32 @@ mod tests {
     #[test]
     fn infer_rejects_bad_values() {
         assert!(matches!(
-            parse_infer(&argv("--batch 0")).unwrap_err(),
+            parse(&INFER, &argv("--batch 0")).unwrap_err(),
             CliError::Invalid { .. }
         ));
         assert!(matches!(
-            parse_infer(&argv("--precision f64")).unwrap_err(),
+            parse(&INFER, &argv("--precision f64")).unwrap_err(),
             CliError::Invalid { .. }
         ));
         assert!(matches!(
-            parse_infer(&argv("--kernel gpu")).unwrap_err(),
+            parse(&INFER, &argv("--kernel gpu")).unwrap_err(),
             CliError::Invalid { .. }
         ));
         assert!(matches!(
-            parse_infer(&argv("--iters 0")).unwrap_err(),
+            parse(&INFER, &argv("--iters 0")).unwrap_err(),
             CliError::Invalid { .. }
         ));
+        assert_invalid(
+            &INFER,
+            &[
+                "--sparsity nan",
+                "--threads -1",
+                "--batch 1e400",
+                "--seed ,",
+            ],
+        );
         assert_eq!(
-            parse_infer(&argv("--turbo")).unwrap_err(),
+            parse(&INFER, &argv("--turbo")).unwrap_err(),
             CliError::UnknownFlag {
                 command: "infer",
                 flag: "--turbo".to_string()
@@ -1883,39 +1649,42 @@ mod tests {
 
     #[test]
     fn sdc_infer_flags_parse_into_the_run() {
-        let run = parse_infer(&argv("--flip-rate 1e-6 --flip-seed 9 --guards")).unwrap();
+        let run = parse(&INFER, &argv("--flip-rate 1e-6 --flip-seed 9 --guards")).unwrap();
         assert_eq!(run.flip_rate, 1e-6);
         assert_eq!(run.flip_seed, 9);
         assert!(run.guards);
         // Defaults: fault injection and guards are both off.
-        let run = parse_infer(&[]).unwrap();
+        let run = parse(&INFER, &[]).unwrap();
         assert_eq!(run.flip_rate, 0.0);
         assert_eq!(run.flip_seed, 0x5dc);
         assert!(!run.guards);
         // The flip rate is a probability; 2 flips/byte is nonsense.
         assert!(matches!(
-            parse_infer(&argv("--flip-rate 2")).unwrap_err(),
+            parse(&INFER, &argv("--flip-rate 2")).unwrap_err(),
             CliError::Invalid { .. }
         ));
     }
 
     #[test]
     fn sdc_serve_flags_parse_into_the_config() {
-        let run = parse_serve(&argv("--sdc 0.1")).unwrap();
+        let run = parse(&SERVE, &argv("--sdc 0.1")).unwrap();
         assert_eq!(run.cfg.resilience.sdc.corruption, 0.1);
         assert!(run.cfg.resilience.sdc.guards, "guards default on");
-        let run = parse_serve(&argv("--sdc 0.1 --no-sdc-guards")).unwrap();
+        let run = parse(&SERVE, &argv("--sdc 0.1 --no-sdc-guards")).unwrap();
         assert!(!run.cfg.resilience.sdc.guards);
-        assert!(parse_serve(&argv("--sdc 1.5")).is_err());
+        assert!(parse(&SERVE, &argv("--sdc 1.5")).is_err());
     }
 
     #[test]
     fn runtime_flags_parse_into_the_config() {
-        let run = parse_runtime(&argv(
-            "--model mobilenet-v2 --device jetson-nano --frames 120 --rate 45 --hit-rate 0.2 \
+        let run = parse(
+            &RUNTIME,
+            &argv(
+                "--model mobilenet-v2 --device jetson-nano --frames 120 --rate 45 --hit-rate 0.2 \
              --seed 9 --ring-capacity 16 --drop-oldest --sentry --sentry-cooldown 4 \
              --sentry-recall 0.9 --flip-rate 1e-6 --exec real --pace",
-        ))
+            ),
+        )
         .unwrap();
         assert_eq!(run.cfg.model, Model::MobileNetV2);
         assert_eq!(run.cfg.device, Device::JetsonNano);
@@ -1939,7 +1708,7 @@ mod tests {
 
     #[test]
     fn runtime_defaults_parse_clean() {
-        let run = parse_runtime(&[]).unwrap();
+        let run = parse(&RUNTIME, &[]).unwrap();
         assert_eq!(run.cfg.ring_capacity, 8);
         assert_eq!(run.cfg.policy, DropPolicy::Block);
         assert_eq!(run.cfg.sentry, None);
@@ -1950,63 +1719,73 @@ mod tests {
     #[test]
     fn runtime_rejects_bad_ring_capacity() {
         for bad in ["0", "3", "-1", "lots"] {
-            let err = parse_runtime(&argv(&format!("--ring-capacity {bad}"))).unwrap_err();
+            let err = parse(&RUNTIME, &argv(&format!("--ring-capacity {bad}"))).unwrap_err();
             assert!(
                 matches!(&err, CliError::Invalid { flag, .. } if flag == "--ring-capacity"),
                 "{bad}: {err:?}"
             );
         }
-        assert!(parse_runtime(&argv("--ring-capacity 4")).is_ok());
+        assert!(parse(&RUNTIME, &argv("--ring-capacity 4")).is_ok());
     }
 
     #[test]
     fn runtime_rejects_unknown_model_and_device() {
-        let err = parse_runtime(&argv("--model squeezenet-9000")).unwrap_err();
+        let err = parse(&RUNTIME, &argv("--model squeezenet-9000")).unwrap_err();
         assert!(matches!(&err, CliError::Invalid { flag, .. } if flag == "--model"));
-        let err = parse_runtime(&argv("--device abacus")).unwrap_err();
+        let err = parse(&RUNTIME, &argv("--device abacus")).unwrap_err();
         assert!(matches!(&err, CliError::Invalid { flag, .. } if flag == "--device"));
     }
 
     #[test]
     fn runtime_conflicting_policies_are_rejected() {
-        let err = parse_runtime(&argv("--block --drop-oldest")).unwrap_err();
+        let err = parse(&RUNTIME, &argv("--block --drop-oldest")).unwrap_err();
         assert!(matches!(err, CliError::Conflict { .. }), "{err:?}");
-        let err = parse_runtime(&argv("--drop-oldest --block")).unwrap_err();
+        let err = parse(&RUNTIME, &argv("--drop-oldest --block")).unwrap_err();
         assert!(matches!(err, CliError::Conflict { .. }), "{err:?}");
         // Repeating the same policy is fine.
-        assert!(parse_runtime(&argv("--block --block")).is_ok());
+        assert!(parse(&RUNTIME, &argv("--block --block")).is_ok());
     }
 
     #[test]
     fn runtime_sentry_knobs_require_sentry() {
-        let err = parse_runtime(&argv("--sentry-cooldown 4")).unwrap_err();
+        let err = parse(&RUNTIME, &argv("--sentry-cooldown 4")).unwrap_err();
         assert!(matches!(err, CliError::Conflict { .. }), "{err:?}");
-        let err = parse_runtime(&argv("--sentry-recall 0.5")).unwrap_err();
+        let err = parse(&RUNTIME, &argv("--sentry-recall 0.5")).unwrap_err();
         assert!(matches!(err, CliError::Conflict { .. }), "{err:?}");
-        assert!(parse_runtime(&argv("--sentry --sentry-cooldown 4")).is_ok());
-        assert!(parse_runtime(&argv("--sentry --sentry-cooldown 0")).is_err());
-        assert!(parse_runtime(&argv("--sentry --sentry-recall 1.2")).is_err());
+        assert!(parse(&RUNTIME, &argv("--sentry --sentry-cooldown 4")).is_ok());
+        assert!(parse(&RUNTIME, &argv("--sentry --sentry-cooldown 0")).is_err());
+        assert!(parse(&RUNTIME, &argv("--sentry --sentry-recall 1.2")).is_err());
     }
 
     #[test]
     fn runtime_trace_io_and_stage_conflicts() {
-        let err = parse_runtime(&argv("--trace-in a.bin --trace-out b.bin")).unwrap_err();
+        let err = parse(&RUNTIME, &argv("--trace-in a.bin --trace-out b.bin")).unwrap_err();
         assert!(matches!(err, CliError::Conflict { .. }), "{err:?}");
-        let err = parse_runtime(&argv("--stage capture")).unwrap_err();
+        let err = parse(&RUNTIME, &argv("--stage capture")).unwrap_err();
         assert!(matches!(err, CliError::Conflict { .. }), "{err:?}");
-        let err = parse_runtime(&argv("--stage capture --dir /tmp/x --procs")).unwrap_err();
+        let err = parse(&RUNTIME, &argv("--stage capture --dir /tmp/x --procs")).unwrap_err();
         assert!(matches!(err, CliError::Conflict { .. }), "{err:?}");
-        assert!(parse_runtime(&argv("--stage capture --dir /tmp/x")).is_ok());
+        assert!(parse(&RUNTIME, &argv("--stage capture --dir /tmp/x")).is_ok());
     }
 
     #[test]
     fn runtime_rejects_bad_probabilities_and_frames() {
-        assert!(parse_runtime(&argv("--hit-rate 1.5")).is_err());
-        assert!(parse_runtime(&argv("--flip-rate -0.1")).is_err());
-        assert!(parse_runtime(&argv("--frames 0")).is_err());
-        assert!(parse_runtime(&argv("--rate 0")).is_err());
+        assert!(parse(&RUNTIME, &argv("--hit-rate 1.5")).is_err());
+        assert!(parse(&RUNTIME, &argv("--flip-rate -0.1")).is_err());
+        assert!(parse(&RUNTIME, &argv("--frames 0")).is_err());
+        assert!(parse(&RUNTIME, &argv("--rate 0")).is_err());
+        assert_invalid(
+            &RUNTIME,
+            &[
+                "--rate nan",
+                "--rate -inf",
+                "--frames=0",
+                "--capture-ns -1",
+                "--sentry-recall nan",
+            ],
+        );
         assert_eq!(
-            parse_runtime(&argv("--warp-speed")).unwrap_err(),
+            parse(&RUNTIME, &argv("--warp-speed")).unwrap_err(),
             CliError::UnknownFlag {
                 command: "runtime",
                 flag: "--warp-speed".to_string()
@@ -2016,58 +1795,151 @@ mod tests {
 
     #[test]
     fn runtime_supervise_flags_parse_into_the_config() {
-        let run =
-            parse_runtime(&argv("--supervise --restart-budget 5 --heartbeat-ms 120")).unwrap();
+        let run = parse(
+            &RUNTIME,
+            &argv("--supervise --restart-budget 5 --heartbeat-ms 120"),
+        )
+        .unwrap();
         let sup = run.cfg.supervise.expect("--supervise sets the config");
         assert_eq!(sup.restart_budget, 5);
         assert_eq!(sup.heartbeat_ms, 120);
         // Bare --supervise takes the defaults.
-        let run = parse_runtime(&argv("--supervise")).unwrap();
+        let run = parse(&RUNTIME, &argv("--supervise")).unwrap();
         assert_eq!(run.cfg.supervise, Some(SuperviseConfig::default()));
         // The knobs alone are a conflict, mirroring the sentry idiom.
-        let err = parse_runtime(&argv("--restart-budget 3")).unwrap_err();
+        let err = parse(&RUNTIME, &argv("--restart-budget 3")).unwrap_err();
         assert!(matches!(err, CliError::Conflict { .. }), "{err:?}");
-        let err = parse_runtime(&argv("--heartbeat-ms 50")).unwrap_err();
+        let err = parse(&RUNTIME, &argv("--heartbeat-ms 50")).unwrap_err();
         assert!(matches!(err, CliError::Conflict { .. }), "{err:?}");
     }
 
     #[test]
     fn runtime_chaos_flags_parse_and_conflict() {
-        let run = parse_runtime(&argv("--supervise --chaos kill@1:37,hang@2:90")).unwrap();
+        let run = parse(&RUNTIME, &argv("--supervise --chaos kill@1:37,hang@2:90")).unwrap();
         let plan = run.cfg.chaos.expect("--chaos sets the plan");
         assert_eq!(plan.len(), 2);
         assert_eq!(plan.to_spec(), "kill@1:37,hang@2:90");
         // A generated campaign is deferred until the trace length is known.
-        let run = parse_runtime(&argv("--supervise --chaos-events 6 --chaos-seed 9")).unwrap();
+        let run = parse(
+            &RUNTIME,
+            &argv("--supervise --chaos-events 6 --chaos-seed 9"),
+        )
+        .unwrap();
         assert_eq!(run.chaos_events, Some(6));
         assert_eq!(run.chaos_seed, Some(9));
         assert!(run.cfg.chaos.is_none());
         // Explicit and generated schedules are mutually exclusive.
-        let err = parse_runtime(&argv("--chaos kill@1:3 --chaos-events 2")).unwrap_err();
+        let err = parse(&RUNTIME, &argv("--chaos kill@1:3 --chaos-events 2")).unwrap_err();
         assert!(matches!(err, CliError::Conflict { .. }), "{err:?}");
-        let err = parse_runtime(&argv("--chaos-seed 4")).unwrap_err();
+        let err = parse(&RUNTIME, &argv("--chaos-seed 4")).unwrap_err();
         assert!(matches!(err, CliError::Conflict { .. }), "{err:?}");
-        let err = parse_runtime(&argv("--chaos wedge@9:1")).unwrap_err();
+        let err = parse(&RUNTIME, &argv("--chaos wedge@9:1")).unwrap_err();
         assert!(matches!(err, CliError::Conflict { .. }), "{err:?}");
-        assert!(parse_runtime(&argv("--chaos-events 0")).is_err());
+        assert!(parse(&RUNTIME, &argv("--chaos-events 0")).is_err());
     }
 
     #[test]
     fn runtime_sink_requires_a_stage() {
-        let err = parse_runtime(&argv("--sink")).unwrap_err();
+        let err = parse(&RUNTIME, &argv("--sink")).unwrap_err();
         assert!(matches!(err, CliError::Conflict { .. }), "{err:?}");
-        let run = parse_runtime(&argv("--stage inference --dir /tmp/x --sink")).unwrap();
+        let run = parse(&RUNTIME, &argv("--stage inference --dir /tmp/x --sink")).unwrap();
         assert!(run.sink);
     }
 
     #[test]
     fn jobs_flag_is_extracted_anywhere() {
-        let mut args = argv("run all --jobs 4");
-        assert_eq!(take_jobs_flag(&mut args), Ok(4));
-        assert_eq!(args, argv("run all"));
-        let mut args = argv("--jobs=0 run");
-        assert_eq!(take_jobs_flag(&mut args), Ok(0));
-        let mut args = argv("run --jobs");
-        assert!(take_jobs_flag(&mut args).is_err());
+        let args = argv("run all --jobs 4");
+        let (command, rest) = split_command(&args).unwrap();
+        assert_eq!(command, Some("run"));
+        let expected = ExperimentsRun {
+            jobs: 4,
+            id: Some("all".to_string()),
+        };
+        assert_eq!(parse(&RUN, &rest), Ok(expected));
+        // Flags before the command word are handed on to the command.
+        let args = argv("--jobs=0 run");
+        let (command, rest) = split_command(&args).unwrap();
+        assert_eq!(command, Some("run"));
+        assert_eq!(parse(&RUN, &rest).map(|r| r.jobs), Ok(0));
+        let args = argv("run --jobs");
+        let (_, rest) = split_command(&args).unwrap();
+        assert!(parse(&RUN, &rest).is_err());
+        for input in ["geo --requests 10 --jobs 4", "--jobs 4 geo --requests 10"] {
+            let args = argv(input);
+            let (command, rest) = split_command(&args).unwrap();
+            assert_eq!(command, Some("geo"));
+            assert_eq!(parse(&GEO, &rest).map(|r| r.jobs), Ok(4), "{input}");
+        }
+        let args = argv("--jobs 4 serve");
+        let (_, rest) = split_command(&args).unwrap();
+        assert!(matches!(
+            parse(&SERVE, &rest),
+            Err(CliError::UnknownFlag {
+                command: "serve",
+                ..
+            })
+        ));
+    }
+
+    /// Asserts that no two rows of `cmd`'s table share a flag name (a later
+    /// duplicate would be dead).
+    fn assert_unique_flags<R>(cmd: &Command<R>) {
+        let mut names: Vec<&str> = cmd.flags.iter().map(|f| f.name).collect();
+        names.sort_unstable();
+        let count = names.len();
+        names.dedup();
+        assert_eq!(names.len(), count, "{} lists a flag twice", cmd.name);
+    }
+
+    #[test]
+    fn no_table_lists_a_flag_twice() {
+        assert_unique_flags(&RUN);
+        assert_unique_flags(&INFER);
+        assert_unique_flags(&RESILIENCE);
+        assert_unique_flags(&SERVE);
+        assert_unique_flags(&GEO);
+        assert_unique_flags(&RUNTIME);
+    }
+
+    const JUNK: [&str; 12] = [
+        "", "nan", "-1", "1e400", ",", "inf", "-inf", "0", "2", "0.5", "cifarnet", "--",
+    ];
+
+    /// Builds argv from `picks` — `(index, kind)` pairs naming a flag of
+    /// `cmd`'s table, a junk value, or `--flag=junk` — and asserts that
+    /// parsing it (alone and behind the command word) returns `Ok` or a
+    /// typed [`CliError`] instead of panicking.
+    fn assert_parse_is_total<R: Default>(cmd: &Command<R>, picks: &[(usize, usize)]) {
+        let args: Vec<String> = picks
+            .iter()
+            .map(|&(i, kind)| {
+                let flag = cmd.flags[i % cmd.flags.len()].name;
+                let junk = JUNK[i % JUNK.len()];
+                match kind {
+                    0 => flag.to_string(),
+                    1 => junk.to_string(),
+                    _ => format!("{flag}={junk}"),
+                }
+            })
+            .collect();
+        let parsed = std::panic::catch_unwind(|| parse(cmd, &args).map(drop));
+        assert!(parsed.is_ok(), "{} panicked on {args:?}", cmd.name);
+        let full: Vec<String> = [vec![cmd.name.to_string()], args].concat();
+        let split = std::panic::catch_unwind(|| split_command(&full).map(drop));
+        assert!(split.is_ok(), "split panicked on {full:?}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn argv_parsing_never_panics(picks in prop::collection::vec((0usize..1000, 0usize..3), 0..8)) {
+            assert_parse_is_total(&RUN, &picks);
+            assert_parse_is_total(&INFER, &picks);
+            assert_parse_is_total(&RESILIENCE, &picks);
+            assert_parse_is_total(&SERVE, &picks);
+            assert_parse_is_total(&GEO, &picks);
+            assert_parse_is_total(&RUNTIME, &picks);
+        }
     }
 }

@@ -56,6 +56,10 @@ cargo test -q --offline -p edgebench --test engine_oracle \
     simultaneous_arrivals_tie_break_fifo_deterministically
 cargo test -q --offline -p edgebench --test engine_oracle \
     geo_tier_is_jobs_invariant_on_both_engines
+# The CLI contracts, named explicitly: every command's flag table parses
+# into typed errors (never a panic), and the tests live in the binary
+# target, which the root package's plain `cargo test` does not build.
+cargo test -q --offline -p edgebench --bin edgebench-cli
 cargo clippy --workspace --all-targets --offline -- -D warnings
 # Benches must keep compiling even though tier-1 never runs them.
 cargo bench --no-run --offline --workspace
