@@ -36,6 +36,20 @@ fn bench_depthwise(c: &mut Criterion) {
     c.bench_function("depthwise_64x16x16", |b| {
         b.iter(|| black_box(kernels::depthwise_conv2d(&x, &w, None, (1, 1), (1, 1), 1)))
     });
+    // MobileNet-V2's two largest depthwise layers at 224x224 input: the
+    // stride-2 96-channel map and the stride-1 144-channel map.
+    for &(ch, hw, s) in &[(96usize, 112usize, 2usize), (144, 56, 1)] {
+        let x = Tensor::random([1, ch, hw, hw], 1);
+        let w = Tensor::random([ch, 1, 3, 3], 2);
+        let bias = vec![0.05f32; ch];
+        let mut out = kernels::depthwise_conv2d(&x, &w, None, (s, s), (1, 1), 1);
+        c.bench_function(format!("depthwise_{ch}x{hw}x{hw}_s{s}"), |b| {
+            b.iter(|| {
+                kernels::depthwise_conv2d_into(&x, &w, Some(&bias), (s, s), (1, 1), 1, &mut out);
+                black_box(out.data()[0])
+            })
+        });
+    }
 }
 
 fn bench_conv3d(c: &mut Criterion) {
@@ -97,6 +111,13 @@ fn bench_precision(c: &mut Criterion) {
     });
     c.bench_function("quant_observe_64k", |b| {
         b.iter(|| black_box(quant::QuantParams::observe(&x)))
+    });
+    // MobileNet-V2's largest activation (96x112x112, 1.2 M elements), the
+    // size of the int8 lowering's biggest pass. Re-quantizing in place
+    // costs the same as the first pass and keeps a copy out of the timing.
+    let mut big = Tensor::random([1, 96, 112, 112], 5);
+    c.bench_function("int8_fake_quant_1.2m", |b| {
+        b.iter(|| black_box(quant::fake_quantize_tensor(&mut big)))
     });
     // Keep `x` mutable usage meaningful.
     x.data_mut()[0] = 0.0;

@@ -1,11 +1,13 @@
-//! The CNN kernel set: direct (reference) implementations of every operator
-//! in the IR.
+//! The CNN kernel set: direct implementations of every operator in the IR.
 //!
-//! These are clarity-first reference kernels: correctness is established by
+//! Most are clarity-first reference kernels: correctness is established by
 //! hand-computed cases and property tests, and Criterion micro-benches in
 //! `edgebench-bench` measure them. Device *performance* modelling does not
 //! use these timings — it uses the analytical roofline in
-//! `edgebench-devices` — so simplicity here is a feature.
+//! `edgebench-devices` — so simplicity here is a feature. The exception is
+//! [`depthwise_conv2d_into`], a vectorizable fast path (MobileNet's
+//! depthwise layers dominate its CPU time); a proptest checks it bit for
+//! bit against the per-output reference loop kept in this module's tests.
 
 use crate::Tensor;
 use edgebench_graph::{ActivationKind, PoolKind, TensorShape};
@@ -125,6 +127,17 @@ pub fn depthwise_conv2d(
 /// [`depthwise_conv2d`] into a caller-provided output tensor (every
 /// element is overwritten).
 ///
+/// Each output row splits into border columns, whose windows overhang the
+/// left or right padding, and an interior column range, whose every tap
+/// lands inside the input row. Border columns run the per-output scalar
+/// tap loop with bounds checks. The interior runs tap-major: the row slice
+/// is filled with the bias, then for each in-bounds `ky` and each `kx` one
+/// `out[j] += x[start + j * stride] * w` sweep covers the whole slice, which
+/// the compiler vectorizes (contiguous for stride 1, strided otherwise).
+/// Every output element still accumulates its taps one at a time from the
+/// bias in `ky`-then-`kx` order, skipping the same out-of-bounds rows, so
+/// the bytes equal the per-output loop's whatever the vector width.
+///
 /// # Panics
 ///
 /// Panics if shapes are inconsistent or `out` has the wrong size.
@@ -145,34 +158,90 @@ pub fn depthwise_conv2d_into(
     let ow = TensorShape::conv_out_extent(iw, kw, stride.1, padding.1).expect("kernel fits");
     assert_eq!(out.len(), n * out_c * oh * ow, "depthwise output mismatch");
 
+    let ((sh, sw), (ph, pw)) = (stride, padding);
+    // Interior columns [cx0, cx1): `ox * sw - pw >= 0` and
+    // `ox * sw - pw + kw <= iw`, so no tap of the window needs a check.
+    let cx0 = pw.div_ceil(sw).min(ow);
+    let cx1 = if iw + pw >= kw {
+        ((iw + pw - kw) / sw + 1).min(ow)
+    } else {
+        0
+    }
+    .max(cx0);
+
     let xd = x.data();
     let wv = weight.data();
-    let od = out.data_mut();
-    for b in 0..n {
-        for oc in 0..out_c {
-            let ic = oc / multiplier;
-            let b0 = bias.map_or(0.0, |bv| bv[oc]);
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = b0;
-                    for ky in 0..kh {
-                        let iy = oy * stride.0 + ky;
-                        if iy < padding.0 || iy - padding.0 >= ih {
+    for (plane, oplane) in out.data_mut().chunks_exact_mut(oh * ow).enumerate() {
+        let (b, oc) = (plane / out_c, plane % out_c);
+        let ic = oc / multiplier;
+        let b0 = bias.map_or(0.0, |bv| bv[oc]);
+        let xp = &xd[(b * in_c + ic) * ih * iw..][..ih * iw];
+        let wk = &wv[oc * kh * kw..][..kh * kw];
+        for (oy, orow) in oplane.chunks_exact_mut(ow).enumerate() {
+            // Kernel rows whose input row `oy * sh + ky - ph` is in bounds.
+            let ky0 = ph.saturating_sub(oy * sh).min(kh);
+            let ky1 = (ih + ph).saturating_sub(oy * sh).clamp(ky0, kh);
+            for ox in (0..cx0).chain(cx1..ow) {
+                let mut acc = b0;
+                for ky in ky0..ky1 {
+                    let xr = &xp[(oy * sh + ky - ph) * iw..][..iw];
+                    for (kx, &w) in wk[ky * kw..][..kw].iter().enumerate() {
+                        let ix = ox * sw + kx;
+                        if ix < pw || ix - pw >= iw {
                             continue;
                         }
-                        let iy = iy - padding.0;
-                        let xrow = ((b * in_c + ic) * ih + iy) * iw;
-                        let wrow = (oc * kh + ky) * kw;
-                        for kx in 0..kw {
-                            let ix = ox * stride.1 + kx;
-                            if ix < padding.1 || ix - padding.1 >= iw {
-                                continue;
-                            }
-                            acc += xd[xrow + (ix - padding.1)] * wv[wrow + kx];
-                        }
+                        acc += xr[ix - pw] * w;
                     }
-                    od[((b * out_c + oc) * oh + oy) * ow + ox] = acc;
                 }
+                orow[ox] = acc;
+            }
+            let inner = &mut orow[cx0..cx1];
+            inner.fill(b0);
+            if inner.is_empty() || ky0 == ky1 || kw == 0 {
+                continue;
+            }
+            let rows = xp
+                .chunks_exact(iw)
+                .skip(oy * sh + ky0 - ph)
+                .zip(wk.chunks_exact(kw).skip(ky0))
+                .take(ky1 - ky0);
+            let x0 = cx0 * sw - pw;
+            match sw {
+                1 => interior_taps::<1>(inner, rows, x0, sw),
+                2 => interior_taps::<2>(inner, rows, x0, sw),
+                _ => interior_taps::<0>(inner, rows, x0, sw),
+            }
+        }
+    }
+}
+
+/// Adds every tap of a run of interior outputs, tap-major: for each kernel
+/// row (paired with its input row) and each `kx`, one sweep
+/// `out[j] += x[x0 + kx + j * stride] * w` over the run. `S` is the stride
+/// fixed at compile time so the sweep vectorizes (1: contiguous, 2:
+/// de-interleaving pair loads); `S = 0` takes `stride` at run time.
+#[inline(always)]
+fn interior_taps<'a, const S: usize>(
+    out: &mut [f32],
+    rows: impl Iterator<Item = (&'a [f32], &'a [f32])>,
+    x0: usize,
+    stride: usize,
+) {
+    for (xr, wr) in rows {
+        for (kx, &w) in wr.iter().enumerate() {
+            let x = &xr[x0 + kx..];
+            if S == 0 {
+                for (o, &v) in out.iter_mut().zip(x.iter().step_by(stride)) {
+                    *o += v * w;
+                }
+            } else {
+                // The last output's `S`-chunk may overhang the row, so it
+                // is done alone.
+                let (last, head) = out.split_last_mut().expect("non-empty run");
+                for (o, c) in head.iter_mut().zip(x.as_chunks::<S>().0) {
+                    *o += c[0] * w;
+                }
+                *last += x[head.len() * S] * w;
             }
         }
     }
@@ -751,6 +820,126 @@ fn dims4(s: &TensorShape) -> (usize, usize, usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The per-output depthwise loop: every output sums its in-bounds taps
+    /// from the bias in `ky`-then-`kx` order. The oracle for
+    /// [`depthwise_conv2d_into`], whose bytes must match it exactly.
+    fn depthwise_reference(
+        x: &Tensor,
+        weight: &Tensor,
+        bias: Option<&[f32]>,
+        stride: (usize, usize),
+        padding: (usize, usize),
+        multiplier: usize,
+    ) -> Tensor {
+        let (n, in_c, ih, iw) = dims4(x.shape());
+        let wd = weight.shape().dims();
+        let (kh, kw) = (wd[2], wd[3]);
+        let out_c = in_c * multiplier;
+        let oh = TensorShape::conv_out_extent(ih, kh, stride.0, padding.0).expect("kernel fits");
+        let ow = TensorShape::conv_out_extent(iw, kw, stride.1, padding.1).expect("kernel fits");
+        let mut out = Tensor::zeros([n, out_c, oh, ow]);
+        let xd = x.data();
+        let wv = weight.data();
+        let od = out.data_mut();
+        for b in 0..n {
+            for oc in 0..out_c {
+                let ic = oc / multiplier;
+                let b0 = bias.map_or(0.0, |bv| bv[oc]);
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let mut acc = b0;
+                        for ky in 0..kh {
+                            let iy = oy * stride.0 + ky;
+                            if iy < padding.0 || iy - padding.0 >= ih {
+                                continue;
+                            }
+                            let iy = iy - padding.0;
+                            let xrow = ((b * in_c + ic) * ih + iy) * iw;
+                            let wrow = (oc * kh + ky) * kw;
+                            for kx in 0..kw {
+                                let ix = ox * stride.1 + kx;
+                                if ix < padding.1 || ix - padding.1 >= iw {
+                                    continue;
+                                }
+                                acc += xd[xrow + (ix - padding.1)] * wv[wrow + kx];
+                            }
+                        }
+                        od[((b * out_c + oc) * oh + oy) * ow + ox] = acc;
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn depthwise_matches_reference_bitwise(case in (
+            (0usize..4, 0usize..4, 1usize..=3, 1usize..=3, 0usize..=2),
+            (0usize..=2, 1usize..=12, 1usize..=12, 1usize..=2, 1usize..=3),
+            (prop::bool::ANY, 1usize..=2, 0usize..1000),
+        )) {
+            // Kernels 1/3/5/7 per axis, strides 1-3, padding 0-2, maps down
+            // to one pixel (raised only as far as the padded extent needs to
+            // hold the kernel, so inputs narrower than the kernel remain).
+            let ((khi, kwi, sh, sw, ph), (pw, ih, iw, n, c), (with_bias, mult, seed)) = case;
+            let (kh, kw) = (2 * khi + 1, 2 * kwi + 1);
+            let ih = ih.max(kh.saturating_sub(2 * ph));
+            let iw = iw.max(kw.saturating_sub(2 * pw));
+            let seed = seed as u64;
+            let x = Tensor::random([n, c, ih, iw], seed);
+            let w = Tensor::random([c * mult, 1, kh, kw], seed + 1);
+            let bias = Tensor::random([c * mult], seed + 2);
+            let bias = with_bias.then_some(bias.data());
+            let (stride, padding) = ((sh, sw), (ph, pw));
+            let want = depthwise_reference(&x, &w, bias, stride, padding, mult);
+            let mut got = Tensor::from_vec(want.shape().clone(), vec![f32::NAN; want.len()]);
+            depthwise_conv2d_into(&x, &w, bias, stride, padding, mult, &mut got);
+            prop_assert_eq!(
+                bits(&got),
+                bits(&want),
+                "x {:?} k {}x{} stride {:?} pad {:?} mult {} bias {}",
+                x.shape().dims(), kh, kw, stride, padding, mult, with_bias
+            );
+        }
+    }
+
+    #[test]
+    fn depthwise_with_an_empty_kernel_outputs_the_bias() {
+        let x = Tensor::random([1, 2, 3, 3], 6);
+        for (kh, kw) in [(0usize, 3usize), (3, 0), (0, 0)] {
+            let w = Tensor::zeros([2, 1, kh, kw]);
+            let got = depthwise_conv2d(&x, &w, Some(&[0.5, -1.5]), (1, 1), (1, 1), 1);
+            let want = depthwise_reference(&x, &w, Some(&[0.5, -1.5]), (1, 1), (1, 1), 1);
+            assert_eq!(bits(&got), bits(&want), "kernel {kh}x{kw}");
+        }
+    }
+
+    #[test]
+    fn depthwise_matches_reference_at_mobilenet_shapes() {
+        // The layer shapes the fast path exists for: stride 1 and 2 on
+        // wide maps (long vectorized interiors) and the 7x7 tail.
+        for &(c, hw, s) in &[
+            (8usize, 112usize, 1usize),
+            (8, 112, 2),
+            (16, 7, 1),
+            (4, 14, 2),
+        ] {
+            let x = Tensor::random([1, c, hw, hw], 3);
+            let w = Tensor::random([c, 1, 3, 3], 4);
+            let bias = Tensor::random([c], 5);
+            let want = depthwise_reference(&x, &w, Some(bias.data()), (s, s), (1, 1), 1);
+            let got = depthwise_conv2d(&x, &w, Some(bias.data()), (s, s), (1, 1), 1);
+            assert_eq!(bits(&got), bits(&want), "{c}x{hw} stride {s}");
+        }
+    }
 
     #[test]
     fn conv2d_identity_kernel() {

@@ -40,12 +40,39 @@ impl QuantParams {
     }
 
     /// Derives parameters from the observed range of a tensor.
+    ///
+    /// NaN elements are ignored; a tensor with no finite range (empty,
+    /// all-NaN, or holding an infinity) gets the default `[0, 1]` grid.
     pub fn observe(t: &Tensor) -> Self {
-        let mut min = f32::INFINITY;
-        let mut max = f32::NEG_INFINITY;
-        for &v in t.data() {
-            min = min.min(v);
-            max = max.max(v);
+        Self::observe_slice(t.data())
+    }
+
+    /// [`QuantParams::observe`] over a raw slice — the one range scan,
+    /// shared by the per-tensor and per-channel schemes.
+    ///
+    /// The scan keeps [`RANGE_LANES`] independent running min/max pairs and
+    /// folds them at the end, so the compiler can hold them in vector
+    /// registers. Min and max are order-free on non-NaN values (a NaN never
+    /// wins a `<`/`>` comparison, so it is skipped in every lane), and a
+    /// `-0.0` versus `+0.0` extreme yields the same parameters, so the
+    /// result equals a sequential scan's.
+    fn observe_slice(data: &[f32]) -> Self {
+        let mut lo = [f32::INFINITY; RANGE_LANES];
+        let mut hi = [f32::NEG_INFINITY; RANGE_LANES];
+        let chunks = data.chunks_exact(RANGE_LANES);
+        let tail = chunks.remainder();
+        for chunk in chunks {
+            for ((l, h), &v) in lo.iter_mut().zip(&mut hi).zip(chunk) {
+                *l = if v < *l { v } else { *l };
+                *h = if v > *h { v } else { *h };
+            }
+        }
+        let (mut min, mut max) = (f32::INFINITY, f32::NEG_INFINITY);
+        for &v in lo.iter().chain(tail) {
+            min = if v < min { v } else { min };
+        }
+        for &v in hi.iter().chain(tail) {
+            max = if v > max { v } else { max };
         }
         if !min.is_finite() || !max.is_finite() {
             return QuantParams::from_range(0.0, 1.0);
@@ -64,8 +91,13 @@ impl QuantParams {
     }
 
     /// Quantizes a real value to `i8` (saturating).
+    ///
+    /// NaN maps to the zero point; `±inf` and values far outside the range
+    /// saturate to the grid ends.
     pub fn quantize(&self, x: f32) -> i8 {
-        let q = (x / self.scale).round() as i32 + self.zero_point;
+        // `as i32` saturates at `i32::MIN/MAX`, so the zero-point add must
+        // saturate too, or `-inf` with a negative zero point would wrap.
+        let q = ((x / self.scale).round() as i32).saturating_add(self.zero_point);
         q.clamp(-128, 127) as i8
     }
 
@@ -78,7 +110,43 @@ impl QuantParams {
     pub fn fake_quant(&self, x: f32) -> f32 {
         self.dequantize(self.quantize(x))
     }
+
+    /// [`QuantParams::fake_quant`] over a slice in place, bit for bit, in
+    /// float arithmetic the compiler can vectorize (no `f32 -> i32 -> f32`
+    /// round trip, no `roundf` call).
+    ///
+    /// Per element: `q = x / scale` (a division, as in `quantize`: a
+    /// reciprocal multiply would move bytes); round half away from zero as
+    /// `trunc` plus one step when the exact fraction `q - trunc(q)` is at
+    /// least one half; NaN becomes 0, as `NaN as i32` does; clamp to the
+    /// grid `[-128 - zp, 127 - zp]` in zero-point-relative units, which is
+    /// where the integer path's clamp lands; `+ 0.0` turns `-0.0` into
+    /// `+0.0`, as the integer path produces; then multiply by `scale`.
+    /// The fraction `q - trunc(q)` is exact, and every value after the
+    /// rounding step is an integer an `f32` holds exactly, so the result
+    /// equals `dequantize(quantize(x))`.
+    fn fake_quant_slice(&self, data: &mut [f32]) {
+        let scale = self.scale;
+        let lo = (-128 - self.zero_point) as f32;
+        let hi = (127 - self.zero_point) as f32;
+        for v in data {
+            let q = *v / scale;
+            let t = q.trunc();
+            let r = if (q - t).abs() >= 0.5 {
+                t + 1.0f32.copysign(q)
+            } else {
+                t
+            };
+            let r = if r < lo { lo } else { r };
+            let r = if r > hi { hi } else { r };
+            let r = if q.is_nan() { 0.0 } else { r };
+            *v = (r + 0.0) * scale;
+        }
+    }
 }
+
+/// Independent min/max lanes in the range scan of [`QuantParams::observe`].
+const RANGE_LANES: usize = 16;
 
 /// Per-output-channel quantization of a conv/dense weight tensor (axis 0),
 /// the scheme TFLite uses for weights: one scale per filter keeps wide
@@ -91,20 +159,8 @@ pub fn fake_quantize_per_channel(t: &Tensor) -> (Tensor, Vec<QuantParams>) {
     let mut out = t.clone();
     let mut params = Vec::with_capacity(c);
     for ch in 0..c {
-        let slice = &t.data()[ch * per..(ch + 1) * per];
-        let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
-        for &v in slice {
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-        let p = if lo.is_finite() && hi.is_finite() {
-            QuantParams::from_range(lo, hi)
-        } else {
-            QuantParams::from_range(0.0, 1.0)
-        };
-        for v in &mut out.data_mut()[ch * per..(ch + 1) * per] {
-            *v = p.fake_quant(*v);
-        }
+        let p = QuantParams::observe_slice(&t.data()[ch * per..(ch + 1) * per]);
+        p.fake_quant_slice(&mut out.data_mut()[ch * per..(ch + 1) * per]);
         params.push(p);
     }
     (out, params)
@@ -127,11 +183,12 @@ pub fn quantize_tensor(t: &Tensor) -> (Vec<i8>, QuantParams) {
 
 /// Rounds every element of a tensor through its own 8-bit grid in place and
 /// returns the parameters used.
+///
+/// Bit-identical to applying [`QuantParams::fake_quant`] to every element
+/// with the parameters [`QuantParams::observe`] returns.
 pub fn fake_quantize_tensor(t: &mut Tensor) -> QuantParams {
     let p = QuantParams::observe(t);
-    for v in t.data_mut() {
-        *v = p.fake_quant(*v);
-    }
+    p.fake_quant_slice(t.data_mut());
     p
 }
 
@@ -148,6 +205,100 @@ pub fn quantization_error(t: &Tensor) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    #[test]
+    fn quantize_saturates_non_finite_and_extreme_inputs() {
+        // Zero points -128 (all-positive range), 127 (all-negative) and -1.
+        for (lo, hi) in [(0.0, 1.0), (-1.0, 0.0), (-1.0, 1.0)] {
+            let p = QuantParams::from_range(lo, hi);
+            let zp = p.zero_point() as i8;
+            for (x, want) in [
+                (f32::NEG_INFINITY, -128),
+                (-f32::MAX, -128),
+                (f32::INFINITY, 127),
+                (f32::MAX, 127),
+                (f32::NAN, zp),
+                (-f32::NAN, zp),
+            ] {
+                assert_eq!(p.quantize(x), want, "range ({lo},{hi}) x={x}");
+            }
+        }
+        // The grid of [0, 1] starts at 0.0: -inf lands there, not at 1.0.
+        let p = QuantParams::from_range(0.0, 1.0);
+        assert_eq!(p.fake_quant(f32::NEG_INFINITY), 0.0);
+        assert_eq!(p.fake_quant(f32::INFINITY), 1.0);
+        // The vectorized pass agrees: an infinity gives the same [0, 1]
+        // parameters, and NaN lowers to zero.
+        let mut t = Tensor::from_vec([4], vec![f32::NEG_INFINITY, f32::INFINITY, f32::NAN, 0.5]);
+        assert_eq!(fake_quantize_tensor(&mut t), p);
+        assert_eq!(t.data(), &[0.0, 1.0, 0.0, p.fake_quant(0.5)]);
+    }
+
+    /// One generated element: `kind` picks a special value or a draw from
+    /// `bits`; with `grid` it is kept inside `[lo, hi]`.
+    fn element(kind: usize, bits: usize, grid: bool, lo: f32, hi: f32, scale: f32) -> f32 {
+        let sign = if bits & 1 == 0 { 1.0 } else { -1.0 };
+        let unit = (bits >> 1) as f32 / (1 << 23) as f32; // [0, 1)
+                                                          // A `k + 0.5` tie of `x / scale` (exact when `scale` is a power of
+                                                          // two) and its neighbours, where division and a reciprocal multiply
+                                                          // can round to different sides.
+        let tie = ((bits % 512) as f32 - 256.5) * scale;
+        let v = match kind {
+            0 => sign * 0.0,
+            1 => f32::NAN,
+            2 => sign * f32::from_bits(bits as u32 & 0x007f_ffff), // subnormal
+            3 => tie,
+            4 => tie.next_up(),
+            5 => tie.next_down(),
+            6 => lo,
+            7 => hi,
+            8 => sign * f32::INFINITY,
+            9 => sign * f32::MAX,
+            _ => lo + unit * (hi - lo) * if grid { 1.0 } else { sign * 4.0 },
+        };
+        if grid && !v.is_nan() {
+            v.clamp(lo, hi)
+        } else {
+            v
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn fake_quantize_tensor_matches_per_element_fake_quant(case in (
+            (prop::bool::ANY, 0usize..30, 0usize..=255, 0usize..(1 << 23)),
+            prop::collection::vec((0usize..14, 0usize..(1 << 24)), 0..300),
+        )) {
+            // The range is `[-shift, 255 - shift] * step`, so zero points
+            // sweep the whole i8 range; `step` is `2^-e`, a power-of-two
+            // scale with exact ties, in half the cases. With `grid` the
+            // tensor holds both ends and nothing outside them, so the
+            // scale is known up front and ties land on it; without it,
+            // infinities, `±f32::MAX` and out-of-range values join in.
+            let ((grid, e, shift, frac), draws) = case;
+            let frac = if frac % 2 == 0 { 0.0 } else { frac as f32 / (1 << 23) as f32 };
+            let step = (-(e as f32)).exp2() * (1.0 + frac);
+            let (lo, hi) = (-(shift as f32) * step, (255 - shift) as f32 * step);
+            let scale = QuantParams::from_range(lo, hi).scale();
+            let ends = if grid { vec![lo, hi] } else { vec![] };
+            let data: Vec<f32> = draws
+                .iter()
+                .map(|&(kind, bits)| element(kind, bits, grid, lo, hi, scale))
+                .chain(ends)
+                .collect();
+            let t = Tensor::from_vec([data.len()], data);
+            let observed = QuantParams::observe(&t);
+            let mut got = t.clone();
+            let p = fake_quantize_tensor(&mut got);
+            prop_assert_eq!(p, observed);
+            for (x, y) in t.data().iter().zip(got.data()) {
+                let want = p.fake_quant(*x);
+                prop_assert_eq!(y.to_bits(), want.to_bits(), "x={} params {:?}", x, p);
+            }
+        }
+    }
 
     #[test]
     fn zero_is_exactly_representable() {

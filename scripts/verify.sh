@@ -15,6 +15,10 @@ cargo test -q --offline --test numerical_equivalence \
     execution_is_byte_identical_across_intra_op_threads
 cargo test -q --offline --test numerical_equivalence \
     simd_and_scalar_kernels_are_bitwise_identical
+# The depthwise kernel and the int8 lowering sit outside the kernel-tier
+# switch, so MobileNet-V2's f32 and int8 outputs are pinned by checksum.
+cargo test -q --offline --test numerical_equivalence \
+    mobilenet_v2_outputs_are_pinned_at_int8_and_f32
 # The SDC defense contracts, named explicitly: every single-bit weight
 # flip must be caught by the prepare-time checksums, and guard verdicts
 # must be byte-identical across thread counts, kernel tiers, and

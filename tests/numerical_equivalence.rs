@@ -5,7 +5,7 @@
 use edgebench_frameworks::passes;
 use edgebench_graph::{ActivationKind, Graph, GraphBuilder, PoolKind};
 use edgebench_models::Model;
-use edgebench_tensor::{Executor, KernelKind, Microkernel, Precision, Tensor};
+use edgebench_tensor::{integrity, Executor, KernelKind, Microkernel, Precision, Tensor};
 use proptest::prelude::*;
 
 /// A small but structurally rich network: conv-bn-relu chains, a residual
@@ -377,5 +377,31 @@ fn fusion_is_bit_identical_across_stride_padding_activation() {
             got.data(),
             "fused combo k{k} stride{stride:?} pad{pad:?} {act} diverged"
         );
+    }
+}
+
+#[test]
+fn mobilenet_v2_outputs_are_pinned_at_int8_and_f32() {
+    // Whole-model byte pin for the depthwise kernel and the int8 lowering.
+    // The scalar-vs-SIMD check above cannot see these two: `KernelKind`
+    // swaps only the GEMM, so both sides run the same depthwise and
+    // fake-quantization code. Any change to either that moves one output
+    // bit moves these checksums.
+    let g = Model::MobileNetV2.build().with_batch(1).unwrap();
+    let shape = g.node(g.input_ids()[0]).output_shape().dims().to_vec();
+    let x = Tensor::random(shape, 7);
+    for (precision, want) in [
+        (Precision::Int8, 0xa2f9_7225_264e_d490u64),
+        (Precision::F32, 0x1062_ebc1_9d23_b8e4),
+    ] {
+        let out = Executor::new(&g)
+            .with_seed(1)
+            .with_precision(precision)
+            .prepare()
+            .unwrap()
+            .run(&x)
+            .unwrap();
+        let got = integrity::checksum_f32(out.data());
+        assert_eq!(got, want, "{precision:?} checksum {got:#018x}");
     }
 }
