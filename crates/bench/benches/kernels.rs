@@ -263,8 +263,28 @@ fn bench_guards(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_integrity(c: &mut Criterion) {
+    use edgebench_tensor::integrity::checksum_f32;
+    // One MobileNet-V2 input frame (3x224x224, 588 KiB), hashed at every
+    // pipeline hop and cache-resident between passes; then ResNet-18's
+    // 11.7 M weights (46.8 MB), which no cache holds.
+    let mut g = c.benchmark_group("integrity");
+    for (name, n) in [
+        ("checksum_150528f32", 150_528usize),
+        ("checksum_11.7mf32", 11_700_000),
+    ] {
+        let words: Vec<f32> = (0..n).map(|i| i as f32 * 0.5).collect();
+        g.throughput(Throughput::Bytes(n as u64 * 4));
+        g.bench_function(name, |b| {
+            b.iter(|| black_box(checksum_f32(black_box(&words))))
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
+    bench_integrity,
     bench_gemm,
     bench_fused_conv,
     bench_guards,

@@ -36,11 +36,12 @@ use edgebench_devices::faults::ChaosPlan;
 use edgebench_devices::Device;
 use edgebench_measure::stats::Samples;
 use edgebench_models::Model;
+use edgebench_tensor::Precision;
 
 use crate::serve::{Fleet, ReplicaSpec, TraceFile};
 use ring::RingBuffer;
 use shm::SharedMap;
-use stage::{Ctl, StageExit, DETECTION_ELEMS, STAGE_NAMES};
+use stage::{precision_of, Ctl, StageExit, DETECTION_ELEMS, STAGE_NAMES};
 
 pub use report::{RuntimeEvent, RuntimeEventKind, RuntimeReport, StageReport};
 pub use ring::DropPolicy;
@@ -302,10 +303,11 @@ impl RuntimeConfig {
     }
 }
 
-/// Service/energy cost of one ladder rung at batch 1.
-#[derive(Debug, Clone)]
+/// Service/energy cost of one ladder rung at batch 1, and the precision
+/// the inference stage runs it at.
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct RungCost {
-    pub dtype: &'static str,
+    pub precision: Precision,
     pub svc_ns: u64,
     pub energy_mj: f64,
 }
@@ -313,7 +315,11 @@ pub(crate) struct RungCost {
 /// Per-stage cost tables derived from the serving fleet's ladder model —
 /// the same numbers `serve::sim` predicts with, which is what makes the
 /// sim-vs-real comparison apples-to-apples.
-#[derive(Debug, Clone)]
+///
+/// A run derives them once ([`StageCosts::build`]): the process-mode
+/// parent publishes the rungs in the control block and every stage child
+/// reads them back ([`Ctl::stage_costs`]) instead of rebuilding the fleet.
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct StageCosts {
     pub elems: usize,
     pub dims: [u32; 4],
@@ -334,7 +340,7 @@ impl StageCosts {
         })?;
         let replica = &fleet.replicas[0];
         let rung_cost = |r: &crate::serve::RungModel| RungCost {
-            dtype: r.dtype,
+            precision: precision_of(r.dtype),
             svc_ns: r.svc_ns[0],
             energy_mj: r.energy_mj[0],
         };
@@ -346,18 +352,27 @@ impl StageCosts {
                 "sentry mode needs a precision ladder with at least two rungs",
             ));
         }
-        let shape = cfg.model.input_shape();
+        Ok(StageCosts::with_rungs(cfg.model, full, standby))
+    }
+
+    /// The costs of `model`'s frames under the given rungs: the payload
+    /// size and shape come from the model's input.
+    pub(crate) fn with_rungs(
+        model: Model,
+        full: RungCost,
+        standby: Option<RungCost>,
+    ) -> StageCosts {
+        let shape = model.input_shape();
         let mut dims = [1u32; 4];
         for (d, s) in dims.iter_mut().zip(shape.dims()) {
             *d = *s as u32;
         }
-        let elems: usize = shape.dims().iter().product();
-        Ok(StageCosts {
-            elems,
+        StageCosts {
+            elems: shape.dims().iter().product(),
             dims,
             full,
             standby,
-        })
+        }
     }
 }
 
@@ -420,6 +435,7 @@ fn create_objects(
         RECOVERY_LOG_CAP,
         n_frames * 6 + 64 + 4 * budget,
     )?;
+    ctl.set_stage_costs(costs);
     let rings: [RingBuffer; 3] = rings.try_into().expect("three rings");
     Ok(RunObjects { rings, ctl })
 }
@@ -428,8 +444,7 @@ fn create_objects(
 /// 4 stages × 64-restart budget.
 const RECOVERY_LOG_CAP: usize = 260;
 
-fn attach_objects(dir: &Path, payloads_only: bool) -> Result<RunObjects, RuntimeError> {
-    let _ = payloads_only;
+fn attach_objects(dir: &Path) -> Result<RunObjects, RuntimeError> {
     let mut rings = Vec::with_capacity(3);
     for name in RING_FILES {
         rings.push(RingBuffer::attach(SharedMap::open(&dir.join(name))?)?);
@@ -927,17 +942,20 @@ extern "C" fn on_sigterm(_sig: std::ffi::c_int) {
 }
 
 /// Entry point for an `edgebench-cli runtime --stage <name>` child process:
-/// attach the shared objects under `dir`, install a SIGTERM handler that
-/// drains gracefully, and run the named stage (or, with `sink`, its
-/// drain-and-account body for a budget-exhausted stage). The gateway stage
-/// assembles the report and writes it (and the event log) to the given
-/// paths. A chaos-killed stage exits abruptly without closing its rings so
-/// the supervisor's replacement can reattach.
+/// attach the shared objects under `dir`, read the stage costs the parent
+/// published in the control block (a child never re-derives them from the
+/// fleet model), install a SIGTERM handler that drains gracefully, and run
+/// the named stage (or, with `sink`, its drain-and-account body for a
+/// budget-exhausted stage). The gateway stage assembles the report and
+/// writes it (and the event log) to the given paths. A chaos-killed stage
+/// exits abruptly without closing its rings so the supervisor's
+/// replacement can reattach.
 ///
 /// # Errors
 ///
-/// [`RuntimeError`] on unknown stage name, attach failure, or a typed
-/// stage failure (e.g. executor build/run rejection).
+/// [`RuntimeError`] on unknown stage name, attach failure (including a
+/// control block of another version), or a typed stage failure (e.g.
+/// executor build/run rejection).
 pub fn run_stage(
     name: &str,
     dir: &Path,
@@ -949,9 +967,9 @@ pub fn run_stage(
     unsafe {
         signal(shm::SIGTERM, on_sigterm);
     }
-    let costs = StageCosts::build(cfg)?;
-    let objs = attach_objects(dir, false)?;
+    let objs = attach_objects(dir)?;
     let (rings, ctl) = (&objs.rings, &objs.ctl);
+    let costs = ctl.stage_costs(cfg.model)?;
     match name {
         "capture" => {
             let trace =

@@ -29,6 +29,7 @@ use std::time::{Duration, Instant};
 use edgebench_devices::faults::chaos::ChaosKind;
 use edgebench_devices::faults::ipc::{LinkFaults, LINK_CAPTURE, LINK_PREPROCESS};
 use edgebench_devices::faults::rng::FaultRng;
+use edgebench_models::Model;
 use edgebench_tensor::integrity::checksum_f32;
 use edgebench_tensor::{Executor, Precision, PreparedExecutor, Tensor};
 
@@ -38,7 +39,7 @@ use super::ring::{
 };
 use super::sentry::Sentry;
 use super::shm::SharedMap;
-use super::{ExecMode, RuntimeConfig, RuntimeError, StageCosts};
+use super::{ExecMode, RungCost, RuntimeConfig, RuntimeError, StageCosts};
 use crate::serve::TraceFile;
 
 /// Stream tag for deterministic frame payload synthesis.
@@ -95,7 +96,7 @@ pub(crate) enum StageExit {
 // ---------------------------------------------------------------------------
 
 const CTL_MAGIC: u32 = 0x4542_4354; // "EBCT"
-const CTL_VERSION: u32 = 2;
+const CTL_VERSION: u32 = 3;
 const CTL_HEADER_BYTES: usize = 512;
 const EVENT_BYTES: usize = 24;
 const RECOV_BYTES: usize = 16;
@@ -491,6 +492,53 @@ impl Ctl {
         out
     }
 
+    // ---- stage costs (v3) ------------------------------------------------
+
+    /// Publish the run's rung costs: the parent derives them once and
+    /// every stage (and every restart of one) reads them from here. Called
+    /// before any stage is spawned, so the spawn orders these stores
+    /// before every stage's loads.
+    pub(crate) fn set_stage_costs(&self, costs: &StageCosts) {
+        let standby = costs.standby.as_ref();
+        self.u64_at(456).store(costs.full.svc_ns, Ordering::Release);
+        self.u64_at(464)
+            .store(costs.full.energy_mj.to_bits(), Ordering::Release);
+        self.u64_at(472)
+            .store(standby.map_or(0, |r| r.svc_ns), Ordering::Release);
+        self.u64_at(480).store(
+            standby.map_or(0, |r| r.energy_mj.to_bits()),
+            Ordering::Release,
+        );
+        self.u32_at(488)
+            .store(precision_code(costs.full.precision), Ordering::Release);
+        // 0 = no standby rung, else its precision code + 1.
+        self.u32_at(492).store(
+            standby.map_or(0, |r| precision_code(r.precision) + 1),
+            Ordering::Release,
+        );
+    }
+
+    /// The published rung costs, with the payload size and shape of
+    /// `model`'s input.
+    pub(crate) fn stage_costs(&self, model: Model) -> Result<StageCosts, RuntimeError> {
+        let bad = || RuntimeError::shm(self.map.path(), "bad stage-cost precision code");
+        let full = RungCost {
+            precision: precision_from_code(self.u32_at(488).load(Ordering::Acquire))
+                .ok_or_else(bad)?,
+            svc_ns: self.u64_at(456).load(Ordering::Acquire),
+            energy_mj: f64::from_bits(self.u64_at(464).load(Ordering::Acquire)),
+        };
+        let standby = match self.u32_at(492).load(Ordering::Acquire) {
+            0 => None,
+            code => Some(RungCost {
+                precision: precision_from_code(code - 1).ok_or_else(bad)?,
+                svc_ns: self.u64_at(472).load(Ordering::Acquire),
+                energy_mj: f64::from_bits(self.u64_at(480).load(Ordering::Acquire)),
+            }),
+        };
+        Ok(StageCosts::with_rungs(model, full, standby))
+    }
+
     fn ledger_word(&self, fid: u64) -> &AtomicU64 {
         self.u64_at(CTL_HEADER_BYTES + fid as usize * 8)
     }
@@ -846,12 +894,26 @@ pub(crate) fn run_preprocess(
     StageExit::Done
 }
 
-fn precision_of(dtype: &str) -> Precision {
+/// The executor precision of a ladder rung's dtype name.
+pub(crate) fn precision_of(dtype: &str) -> Precision {
     match dtype {
         "f16" => Precision::F16,
         "i8" | "int8" => Precision::Int8,
         _ => Precision::F32,
     }
+}
+
+const PRECISIONS: [Precision; 3] = [Precision::F32, Precision::F16, Precision::Int8];
+
+fn precision_code(p: Precision) -> u32 {
+    PRECISIONS
+        .iter()
+        .position(|&q| q == p)
+        .expect("every precision is listed") as u32
+}
+
+fn precision_from_code(code: u32) -> Option<Precision> {
+    PRECISIONS.get(code as usize).copied()
 }
 
 struct RungExec<'g> {
@@ -861,16 +923,16 @@ struct RungExec<'g> {
 impl<'g> RungExec<'g> {
     fn build(
         graph: &'g edgebench_graph::Graph,
-        dtype: &str,
+        precision: Precision,
         seed: u64,
     ) -> Result<RungExec<'g>, RuntimeError> {
         let prepared = Executor::new(graph)
             .with_seed(seed)
-            .with_precision(precision_of(dtype))
+            .with_precision(precision)
             .prepare()
             .map_err(|e| RuntimeError::Stage {
                 stage: "inference".to_string(),
-                reason: format!("executor build ({dtype}): {e}"),
+                reason: format!("executor build ({precision:?}): {e}"),
             })?;
         Ok(RungExec { prepared })
     }
@@ -907,7 +969,7 @@ pub(crate) fn run_inference(
     let mut standby_exec = None;
     if cfg.exec == ExecMode::Real {
         graph = cfg.model.build();
-        match RungExec::build(&graph, costs.full.dtype, cfg.seed) {
+        match RungExec::build(&graph, costs.full.precision, cfg.seed) {
             Ok(e) => full_exec = Some(e),
             Err(e) => {
                 if cfg.supervise.is_none() {
@@ -917,7 +979,7 @@ pub(crate) fn run_inference(
             }
         }
         if let (Some(sb), true) = (&costs.standby, cfg.sentry.is_some()) {
-            match RungExec::build(&graph, sb.dtype, cfg.seed) {
+            match RungExec::build(&graph, sb.precision, cfg.seed) {
                 Ok(e) => standby_exec = Some(e),
                 Err(e) => {
                     if cfg.supervise.is_none() {
@@ -1317,11 +1379,62 @@ mod tests {
     }
 
     #[test]
+    fn ctl_roundtrips_stage_costs() {
+        let model = Model::MobileNetV2;
+        let full = RungCost {
+            precision: Precision::F32,
+            svc_ns: 41_234_567,
+            // Not exactly representable in decimal: the round trip must
+            // keep every bit.
+            energy_mj: 0.1 + 0.2,
+        };
+        let standby = RungCost {
+            precision: Precision::Int8,
+            svc_ns: 9_876,
+            energy_mj: f64::MIN_POSITIVE / 3.0,
+        };
+        for (tag, standby) in [("sb", Some(standby)), ("nosb", None)] {
+            let path =
+                std::env::temp_dir().join(format!("ebctl-costs-{tag}-{}", std::process::id()));
+            let ctl = Ctl::create(&path, 4, 2, 2).unwrap();
+            let costs = StageCosts::with_rungs(model, full.clone(), standby);
+            ctl.set_stage_costs(&costs);
+
+            let got = Ctl::attach(&path).unwrap().stage_costs(model).unwrap();
+            ctl.map().unlink();
+            assert_eq!(got, costs);
+            assert_eq!(got.full.energy_mj.to_bits(), (0.1f64 + 0.2).to_bits());
+            if let (Some(a), Some(b)) = (&got.standby, &costs.standby) {
+                assert_eq!(a.energy_mj.to_bits(), b.energy_mj.to_bits());
+                assert_eq!(a.precision, Precision::Int8);
+            }
+        }
+    }
+
+    #[test]
+    fn ctl_attach_rejects_a_version_2_block() {
+        let path = std::env::temp_dir().join(format!("ebctl-v2-{}", std::process::id()));
+        let ctl = Ctl::create(&path, 4, 2, 2).unwrap();
+        // SAFETY: word 1 of the header is the version, inside the map.
+        unsafe { ctl.map().base().cast::<u32>().add(1).write(2) };
+        let err = Ctl::attach(&path).unwrap_err();
+        ctl.map().unlink();
+        assert_eq!(
+            err,
+            RuntimeError::shm(&path, "control-block version mismatch")
+        );
+    }
+
+    #[test]
     fn precision_mapping_covers_ladder_dtypes() {
         assert_eq!(precision_of("f32"), Precision::F32);
         assert_eq!(precision_of("f16"), Precision::F16);
         assert_eq!(precision_of("i8"), Precision::Int8);
         assert_eq!(precision_of("int8"), Precision::Int8);
         assert_eq!(precision_of("anything"), Precision::F32);
+        for p in PRECISIONS {
+            assert_eq!(precision_from_code(precision_code(p)), Some(p));
+        }
+        assert_eq!(precision_from_code(PRECISIONS.len() as u32), None);
     }
 }

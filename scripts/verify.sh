@@ -29,6 +29,14 @@ cargo test -q --offline --test sdc \
     guard_verdicts_are_identical_across_threads_and_kernels
 cargo test -q --offline --test sdc \
     guarded_campaign_replays_byte_identically
+# The frame and weight checksum must stay byte-identical to the plain
+# eight-lane loop it was optimised from (stored weight checksums and the
+# pinned outputs depend on it), and the stage costs the process-mode
+# parent publishes in the control block must round-trip bit-exactly.
+cargo test -q --offline -p edgebench-tensor --lib \
+    checksum_matches_reference
+cargo test -q --offline -p edgebench --lib \
+    ctl_roundtrips_stage_costs
 # The zero-copy runtime contracts, named explicitly: the thread loopback
 # must drain every frame in order and unlink every shm file, and replay at
 # a fixed seed must be byte-identical (the rest of the suite runs these
